@@ -61,7 +61,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/batched_fleet.hpp"
 #include "core/fleet.hpp"
 #include "core/loop.hpp"
 #include "core/offload.hpp"
@@ -1112,7 +1111,7 @@ int run_fleet_report(const char* out_path) {
   // every member a private model copy (members run concurrently and the
   // conv stack is not thread-safe) and pays the full fixed cost of a
   // forward — packing, tensor/arena bookkeeping — per member tick. The
-  // batched engine shares one model and fuses concurrently-ready
+  // batched fleet shares one model and fuses concurrently-ready
   // members into [B, ...] forwards, amortizing those fixed costs.
   constexpr int kBatchLoops = 64, kBatchTicks = 20, kGather = 16;
   lidar::AutoencoderConfig acfg;
@@ -1164,29 +1163,27 @@ int run_fleet_report(const char* out_path) {
   }
 
   core::FleetStats batched_fs;
-  long batched_forwards = 0;
   {
     util::ScopedGlobalThreads threads(kParallelThreads);
     Rng wr(7);
     lidar::OccupancyAutoencoder shared_ae(acfg, wr);
     lidar::BatchedReconstructionProcessor shared(shared_ae, 1e-4);
     std::vector<std::unique_ptr<ModelLoop>> loops;
-    core::BatchedFleetConfig bc;
-    bc.gather = kGather;
-    core::BatchedFleet fleet(shared, bc);
+    core::FleetConfig fc;
+    fc.gather = kGather;
+    core::Fleet fleet(fc, &shared);
     for (int i = 0; i < kBatchLoops; ++i) {
       loops.push_back(std::make_unique<ModelLoop>(grid_numel, shared));
-      fleet.add(*loops.back()->loop, *loops.back()->slot, {kBatchTicks},
-                /*seed=*/5000 + i);
+      fleet.add(*loops.back()->loop, {kBatchTicks}, /*seed=*/5000 + i,
+                loops.back()->slot.get());
     }
     batched_fs = fleet.run();
-    batched_forwards = fleet.batched_forwards();
   }
   const double batched_speedup =
       batched_fs.ticks_per_s / per_loop_fs.ticks_per_s;
   printf("batched    %3d loops x %d ticks  per-loop %8.0f ticks/s | batched(gather %d) %8.0f ticks/s | speedup %.2fx (%ld fused forwards)\n",
          kBatchLoops, kBatchTicks, per_loop_fs.ticks_per_s, kGather,
-         batched_fs.ticks_per_s, batched_speedup, batched_forwards);
+         batched_fs.ticks_per_s, batched_speedup, batched_fs.batched_forwards);
 
   // Admission control: a fleet serving healthy members with feasible
   // deadlines is hit by waves of hopeless stragglers. Wave 1 lands on a
@@ -1270,6 +1267,8 @@ int run_fleet_report(const char* out_path) {
     return 1;
   }
   out << "{\n  \"threads\": " << kParallelThreads
+      << ",\n  \"hardware_concurrency\": "
+      << std::thread::hardware_concurrency()
       << ",\n  \"cpu\": \"" << util::cpu_feature_string()
       << "\",\n  \"simd\": \"" << active_simd_name()
       << "\",\n  \"fleet\": {\n    \"loops\": " << kLoops
@@ -1299,7 +1298,7 @@ int run_fleet_report(const char* out_path) {
       << ",\n    \"per_loop_ticks_per_s\": " << per_loop_fs.ticks_per_s
       << ",\n    \"batched_ticks_per_s\": " << batched_fs.ticks_per_s
       << ",\n    \"speedup\": " << batched_speedup
-      << ",\n    \"batched_forwards\": " << batched_forwards
+      << ",\n    \"batched_forwards\": " << batched_fs.batched_forwards
       << "\n  },\n"
       << "  \"admission\": {\n    \"healthy_loops\": " << kHealthy
       << ", \"straggler_waves\": [" << kWave1 << ", " << kWave2 << ", "

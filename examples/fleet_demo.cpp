@@ -1,7 +1,8 @@
-// Fleet scheduler demo (docs/ARCHITECTURE.md "Pipelined engine & fleet
-// scheduler"): a mixed fleet of sensing-to-action loops — most healthy,
-// one wall-clock straggler, one with a permanently-failing sensor —
-// scheduled EDF over the shared thread pool with per-tick deadlines.
+// Fleet engine demo in per-loop mode (docs/ARCHITECTURE.md "Pipelined
+// engine & fleet scheduler"): a mixed fleet of sensing-to-action loops
+// — most healthy, one wall-clock straggler, one with a permanently-
+// failing sensor — scheduled EDF over the shared thread pool with
+// per-tick deadlines.
 // Prints the per-loop outcome table (executed/shed ticks, deadline
 // misses, p50/p95 tick latency, final resilience state) and the
 // aggregate throughput, then re-runs one healthy loop under the

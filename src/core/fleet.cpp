@@ -129,28 +129,33 @@ long FleetAdmission::rejected() const {
   return rejected_;
 }
 
-Fleet::Fleet(FleetConfig cfg) : cfg_(cfg), admission_(cfg.admission) {
+Fleet::Fleet(FleetConfig cfg, BatchProcessor* shared)
+    : cfg_(cfg), shared_(shared), admission_(cfg.admission) {
   S2A_CHECK(cfg_.batch >= 1);
+  S2A_CHECK(cfg_.gather >= 1);
   S2A_CHECK(cfg_.max_workers >= 0);
 }
 
 std::size_t Fleet::add(SensingActionLoop& loop, FleetLoopConfig cfg,
-                       std::uint64_t seed) {
+                       std::uint64_t seed, BatchSlot* slot) {
   S2A_CHECK(cfg.ticks >= 0);
   S2A_CHECK(cfg.deadline_s > 0.0);
-  members_.emplace_back(&loop, cfg, seed);
+  S2A_CHECK_MSG(shared_ ? slot && &slot->shared() == shared_ : !slot,
+                "a member needs a BatchSlot on the fleet's shared "
+                "BatchProcessor exactly when the fleet has one");
+  members_.emplace_back(&loop, slot, cfg, seed);
   return members_.size() - 1;
 }
 
 AdmissionResult Fleet::try_add(SensingActionLoop& loop, FleetLoopConfig cfg,
-                               std::uint64_t seed) {
+                               std::uint64_t seed, BatchSlot* slot) {
   AdmissionResult r;
   r.pressure = admission_.pressure();
   r.decision = admission_.decide();
   if (r.decision == AdmissionDecision::kRejected) return r;
   if (r.decision == AdmissionDecision::kDegraded)
     cfg.deadline_s *= admission_.config().degrade_factor;  // +inf stays +inf
-  r.index = add(loop, cfg, seed);
+  r.index = add(loop, cfg, seed, slot);
   return r;
 }
 
@@ -166,7 +171,8 @@ FleetStats Fleet::run() {
 
   // Ready heap keyed (next deadline, executed ticks, id): EDF, with the
   // executed-ticks tie-break degenerating to round-robin fairness when
-  // every deadline is +inf (pure throughput mode).
+  // every deadline is +inf (pure throughput mode) — so group
+  // composition is then a pure function of (members, gather, batch).
   struct Entry {
     double deadline;
     long executed;
@@ -196,99 +202,159 @@ FleetStats Fleet::run() {
 
   std::mutex mu;
   std::condition_variable cv;
-  int active = 0;  // members currently owned by a worker
+  int active = 0;  // dispatch groups currently owned by a dispatcher
   std::atomic<long> dispatches{0};
 
-  int workers = util::global_pool().size();
-  if (cfg_.max_workers > 0) workers = std::min(workers, cfg_.max_workers);
-  workers = std::min<int>(workers, static_cast<int>(members_.size()));
-  if (workers < 1) workers = 1;
-
-  const long batch = cfg_.batch;
+  util::ThreadPool& pool = util::global_pool();
+  int workers = 1;  // batched mode: the shared model is not re-entrant
+  if (!shared_) {
+    workers = pool.size();
+    if (cfg_.max_workers > 0) workers = std::min(workers, cfg_.max_workers);
+    workers = std::clamp<int>(static_cast<int>(members_.size()), 1, workers);
+  }
+  const std::size_t gather = static_cast<std::size_t>(cfg_.gather);
 
   const auto worker = [&](std::size_t /*worker_id*/) {
+    std::vector<std::size_t> group, live, staged;
+    std::vector<SenseOutcome> outcomes;
+    std::vector<const Observation*> inputs;
     for (;;) {
-      Entry e{};
+      // Pop a group, shedding at pop time: a member that has fallen
+      // hopelessly behind its rate contract has its remaining ticks
+      // abandoned so stragglers release their dispatchers instead of
+      // stalling the fleet. (The loop keeps whatever state it reached;
+      // only future work is dropped.)
+      group.clear();
       {
         std::unique_lock<std::mutex> lk(mu);
         cv.wait(lk, [&] { return !ready.empty() || active == 0; });
-        if (ready.empty()) {
-          if (active == 0) return;  // fleet drained
-          continue;                 // lost a race; wait again
+        if (ready.empty()) return;  // fleet drained
+        const double pop_s = elapsed();
+        while (group.size() < gather && !ready.empty()) {
+          std::pop_heap(ready.begin(), ready.end(), later);
+          const std::size_t id = ready.back().id;
+          ready.pop_back();
+          Member& m = members_[id];
+          if (std::isfinite(m.cfg.deadline_s) && m.cfg.shed_slack > 0.0 &&
+              pop_s - m.next_deadline > m.cfg.shed_slack * m.cfg.deadline_s) {
+            m.shed += m.remaining;
+            S2A_COUNTER_ADD("fleet.shed_ticks", m.remaining);
+            admission_.record_shed(m.remaining);
+            m.remaining = 0;
+          } else {
+            group.push_back(id);
+          }
         }
-        std::pop_heap(ready.begin(), ready.end(), later);
-        e = ready.back();
-        ready.pop_back();
-        ++active;
         S2A_GAUGE_SET("fleet.ready_queue_depth",
                       static_cast<double>(ready.size()));
+        if (group.empty()) {
+          if (ready.empty() && active == 0) cv.notify_all();
+          continue;
+        }
+        ++active;
       }
       dispatches.fetch_add(1, std::memory_order_relaxed);
 
-      // Exclusive ownership: `e.id` is out of the heap until requeued,
-      // so this member's loop, Rng, and counters are single-threaded.
-      Member& m = members_[e.id];
-      const bool timed = std::isfinite(m.cfg.deadline_s);
+      // Exclusive ownership: the group is out of the heap until
+      // requeued, so its loops, Rngs and counters are single-threaded.
+      long ticks = 0, bad = 0;
       {
         S2A_TRACE_SCOPE_CAT("fleet.dispatch", "core");
+        for (long round = 0; round < cfg_.batch; ++round) {
+          live.clear();
+          for (const std::size_t id : group)
+            if (members_[id].remaining > 0) live.push_back(id);
+          if (live.empty()) break;
+          const double start_s = elapsed();
 
-        // Admission control: a member that has fallen hopelessly behind
-        // its rate contract is shed — its remaining ticks are abandoned
-        // so stragglers release their workers instead of stalling the
-        // fleet. (The member's loop keeps whatever state it reached;
-        // only future work is dropped.)
-        if (timed && m.cfg.shed_slack > 0.0 &&
-            elapsed() - m.next_deadline >
-                m.cfg.shed_slack * m.cfg.deadline_s) {
-          m.shed += m.remaining;
-          S2A_COUNTER_ADD("fleet.shed_ticks", m.remaining);
-          admission_.record_shed(m.remaining);
-          m.remaining = 0;
-        }
-
-        const long n = std::min<long>(batch, m.remaining);
-        long bad = 0;
-        for (long k = 0; k < n; ++k) {
-          const double start_s =
-              (cfg_.record_latencies || timed) ? elapsed() : 0.0;
-          m.loop->tick(m.rng);
-          --m.remaining;
-          ++m.executed;
-          if (cfg_.record_latencies || timed) {
-            const double end_s = elapsed();
-            if (cfg_.record_latencies)
-              m.tick_ms.push_back((end_s - start_s) * 1e3);
-            if (timed) {
-              if (end_s > m.next_deadline) {
-                ++m.deadline_misses;
-                ++bad;
-                S2A_COUNTER_ADD("fleet.deadline_misses", 1);
+          if (shared_) {
+            // Phase 1: sense stages in parallel. Disjoint writes:
+            // member i's loop, Rng and outcomes[i] are one task's.
+            outcomes.assign(live.size(), SenseOutcome{});
+            pool.parallel_for(0, live.size(), 1, [&](std::size_t i) {
+              Member& m = members_[live[i]];
+              if (m.loop->state() != LoopState::kSafeStop)
+                outcomes[i] = m.loop->sense_stage(
+                    m.loop->now(), m.loop->last_observation(), m.rng);
+            });
+            // Phase 2: one fused forward over every member whose commit
+            // will process (peek_process_input mirrors its gating).
+            inputs.clear();
+            staged.clear();
+            for (std::size_t i = 0; i < live.size(); ++i) {
+              if (const Observation* in =
+                      members_[live[i]].loop->peek_process_input(outcomes[i])) {
+                inputs.push_back(in);
+                staged.push_back(live[i]);
               }
-              m.next_deadline += m.cfg.deadline_s;
+            }
+            if (!inputs.empty()) {
+              S2A_TRACE_SCOPE_CAT("fleet.batched_forward", "core");
+              std::vector<std::vector<double>> rows =
+                  shared_->process_batch(inputs);
+              S2A_CHECK(rows.size() == inputs.size());
+              for (std::size_t j = 0; j < staged.size(); ++j)
+                members_[staged[j]].slot->stage(std::move(rows[j]));
+              ++stats.batched_forwards;
+              stats.batched_members += static_cast<long>(inputs.size());
+              S2A_COUNTER_ADD("fleet.batched_forwards", 1);
+              S2A_COUNTER_ADD("fleet.batched_members", inputs.size());
             }
           }
+
+          // Per-loop: whole ticks. Batched, phase 3: commits serially in
+          // group order; the stock loop code runs unchanged.
+          for (std::size_t i = 0; i < live.size(); ++i) {
+            Member& m = members_[live[i]];
+            if (shared_) {
+              m.loop->commit_tick(outcomes[i], m.rng);
+              // peek said "will process" iff commit processed: a row
+              // staged in phase 2 must have been consumed.
+              S2A_CHECK(!m.slot->staged());
+            } else {
+              m.loop->tick(m.rng);
+            }
+            --m.remaining;
+            ++m.executed;
+            const bool timed = std::isfinite(m.cfg.deadline_s);
+            if (cfg_.record_latencies || timed) {
+              const double end_s = elapsed();
+              if (cfg_.record_latencies)
+                m.tick_ms.push_back((end_s - start_s) * 1e3);
+              if (timed) {
+                if (end_s > m.next_deadline) {
+                  ++m.deadline_misses;
+                  ++bad;
+                  S2A_COUNTER_ADD("fleet.deadline_misses", 1);
+                }
+                m.next_deadline += m.cfg.deadline_s;
+              }
+            }
+          }
+          ticks += static_cast<long>(live.size());
         }
-        S2A_COUNTER_ADD("fleet.ticks", n);
-        admission_.record_ticks(n, bad);  // one lock per dispatch, not tick
+        S2A_COUNTER_ADD("fleet.ticks", ticks);
+        admission_.record_ticks(ticks, bad);  // one lock per dispatch
       }
 
       {
         std::lock_guard<std::mutex> lk(mu);
         --active;
-        if (m.remaining > 0) {
-          ready.push_back({m.next_deadline, m.executed, e.id});
+        for (const std::size_t id : group) {
+          const Member& m = members_[id];
+          if (m.remaining == 0) continue;
+          ready.push_back({m.next_deadline, m.executed, id});
           std::push_heap(ready.begin(), ready.end(), later);
           cv.notify_one();
-        } else if (ready.empty() && active == 0) {
-          cv.notify_all();  // wake everyone so they can observe "drained"
         }
+        if (ready.empty() && active == 0)
+          cv.notify_all();  // wake everyone so they can observe "drained"
       }
     }
   };
 
   if (!members_.empty())
-    util::global_pool().parallel_for(0, static_cast<std::size_t>(workers), 1,
-                                     worker);
+    pool.parallel_for(0, static_cast<std::size_t>(workers), 1, worker);
 
   stats.workers = workers;
   stats.dispatches = dispatches.load(std::memory_order_relaxed);

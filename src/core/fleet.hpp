@@ -1,31 +1,53 @@
-// Fleet scheduler: hundreds-to-thousands of sensing-to-action loops
-// multiplexed over the shared util::ThreadPool — the "millions of
-// users" serving engine the ROADMAP calls for. Each admitted loop gets
-// a per-tick deadline budget; dispatch is EDF (earliest next deadline
-// first) from a ready heap, and admission control sheds the hopelessly
-// overdue rather than letting one straggler stall the fleet.
+// Fleet engine: many sensing-to-action loops multiplexed over the
+// shared util::ThreadPool. Each admitted loop gets a per-tick deadline
+// budget; dispatch is EDF (earliest next deadline first) from a ready
+// heap, and admission control sheds the hopelessly overdue rather than
+// letting one straggler stall the fleet.
 //
 // Model:
 //  * add() admits a loop with a tick count, an optional per-tick
 //    deadline, and a seed — each member owns an independent Rng stream.
-//  * run() spins min(pool size, members, max_workers) workers. Each
-//    worker pops the earliest-deadline member, executes up to `batch`
-//    ticks of it serially (a member is owned by exactly one worker at a
-//    time — the per-loop NOMINAL→DEGRADED→SAFE_STOP machine and all
-//    loop state stay single-threaded), then requeues it.
+//  * A dispatch pops a group of up to `gather` members from the ready
+//    heap and runs up to `batch` ticks of each, round by round, then
+//    requeues them. A member is owned by exactly one dispatcher at a
+//    time, so the per-loop NOMINAL→DEGRADED→SAFE_STOP machine and all
+//    loop state stay single-threaded.
+//  * Per-loop mode (no shared processor): min(pool size, members,
+//    max_workers) dispatchers, each ticking its group's loops serially.
+//  * Batched mode (constructed with a shared BatchProcessor; every
+//    member's Processor is a BatchSlot onto it): one dispatcher, since
+//    the shared model is not re-entrant. Each round of a dispatch has
+//    three phases —
+//      1. sense   — the group's sense stages in parallel on the pool
+//                   (disjoint state: each member's own loop + Rng);
+//      2. process — peek_process_input() names the observation each
+//                   commit will process; those go through ONE
+//                   BatchProcessor::process_batch() call and the rows
+//                   are staged into the members' BatchSlots;
+//      3. commit  — commit_tick() serially in group order. The slot
+//                   hands the staged row to the loop's ordinary
+//                   Processor::process() call, so the degradation
+//                   machine, fallbacks and actuation validation are the
+//                   stock loop code.
 //  * A member's k-th tick is due at admission + k * deadline_s (a rate
 //    contract, not a per-dispatch timer). Ticks finishing late count as
 //    deadline misses; a member that falls more than
-//    shed_slack * deadline_s behind has its remaining ticks shed.
+//    shed_slack * deadline_s behind has its remaining ticks shed. A
+//    tick's latency runs from the start of its dispatch round, so a
+//    batched member's action is timed from before the fused forward
+//    that computed it.
 //
 // Determinism: with the default deadline_s = +inf (pure throughput
 // mode) nothing wall-clock-dependent can fire, members are keyed by
 // (executed ticks, id) — round-robin fairness — and every per-loop
-// result is bit-exact for a given seed across any thread count, batch
-// size, or dispatch interleaving, because each loop's ticks run
-// serially against its own Rng. Finite deadlines buy load shedding at
-// the price of wall-clock dependence; per-loop metrics of *unshed*
-// loops remain exact, shed counts do not (docs/RESILIENCE.md).
+// result is bit-exact for a given seed across any thread count, batch,
+// gather, or dispatch interleaving, because each loop's ticks run
+// serially against its own Rng (and, batched, the BatchProcessor
+// contract below holds). Finite deadlines buy load shedding at the
+// price of wall-clock dependence; per-loop metrics of *unshed* loops
+// remain exact, shed counts do not (docs/RESILIENCE.md). The batched
+// equivalence is proven across member counts, gather, batch, thread
+// counts and fault chaos by tests/fleet_batch_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -64,8 +86,12 @@ struct FleetStats {
   long executed = 0;
   long shed = 0;
   long deadline_misses = 0;
-  long dispatches = 0;  ///< ready-heap pops (batches, not ticks)
-  int workers = 0;
+  long dispatches = 0;  ///< dispatch groups run (not ticks)
+  int workers = 0;      ///< concurrent dispatchers (1 in batched mode)
+  /// Batched mode: fused process_batch() calls, and the member-ticks
+  /// they served (a fused call with one eligible member still counts).
+  long batched_forwards = 0;
+  long batched_members = 0;
   double wall_s = 0.0;
   double ticks_per_s = 0.0;  ///< aggregate executed ticks / wall_s
   std::vector<FleetLoopStats> loops;
@@ -110,7 +136,7 @@ struct AdmissionResult {
   double pressure = 0.0;
 };
 
-/// Rolling deadline-miss/shed-rate tracker shared by the fleet engines.
+/// Rolling deadline-miss/shed-rate tracker behind Fleet::try_add().
 /// Thread-safe: workers record tick outcomes concurrently; decide() is
 /// called from the admitting thread. Exposed via the fleet.admission.*
 /// counters and the fleet.admission.pressure gauge in s2a::obs.
@@ -151,12 +177,77 @@ class FleetAdmission {
   long rejected_ = 0;
 };
 
+/// A Processor that can also serve a whole group in one fused call.
+///
+/// Contract:
+///  * process_batch(obs)[i] must be bit-identical to process(*obs[i])
+///    for every i — same arithmetic, only gathered. The nn batched
+///    entry points (nn/batch.hpp + the batch-first conv kernels)
+///    provide exactly this.
+///  * process()/process_batch() must not draw from the loop Rng: the
+///    fused call has no per-member generator to consume from, so a
+///    randomized processor would diverge from the serial path. (The
+///    `rng` parameter of process() exists to satisfy the Processor
+///    interface; implementations must ignore it.)
+///  * process_batch() is called from the fleet's one dispatcher only;
+///    it may freely use the global pool internally (the conv kernels
+///    do).
+class BatchProcessor : public Processor {
+ public:
+  virtual std::vector<std::vector<double>> process_batch(
+      const std::vector<const Observation*>& obs) = 0;
+};
+
+/// Per-member Processor adapter: the loop's processor_ slot. During a
+/// batched dispatch the fleet stages the member's row of the fused
+/// forward here; the loop's own commit_tick() then consumes it through
+/// the ordinary Processor::process() call. Outside a batched dispatch
+/// (or if nothing was staged) it delegates to the shared processor's
+/// serial path, so a loop built on a BatchSlot also runs correctly
+/// under tick()/run() or a per-loop Fleet.
+///
+/// Composing with core::OffloadExecutor (offload.hpp): a BatchSlot used
+/// as the executor's *local* model must be driven with
+/// OffloadConfig::prepaid_local so the staged row is consumed exactly
+/// once per tick — otherwise a tick routed remote would leave a stale
+/// staged row behind for the next tick to serve.
+class BatchSlot : public Processor {
+ public:
+  explicit BatchSlot(BatchProcessor& shared) : shared_(shared) {}
+
+  std::vector<double> process(const Observation& obs, Rng& rng) override {
+    if (staged_) {
+      staged_ = false;
+      return std::move(staged_row_);
+    }
+    return shared_.process(obs, rng);
+  }
+  double energy_per_call_j() const override {
+    return shared_.energy_per_call_j();
+  }
+
+  void stage(std::vector<double> row) {
+    staged_row_ = std::move(row);
+    staged_ = true;
+  }
+  bool staged() const { return staged_; }
+  BatchProcessor& shared() const { return shared_; }
+
+ private:
+  BatchProcessor& shared_;
+  std::vector<double> staged_row_;
+  bool staged_ = false;
+};
+
 struct FleetConfig {
-  /// Max ticks one dispatch executes before the member is requeued.
-  /// Larger batches amortize heap traffic; smaller ones interleave
-  /// finer under contention.
+  /// Max ticks of each group member one dispatch executes before the
+  /// group is requeued. Larger batches amortize heap traffic; smaller
+  /// ones interleave finer under contention.
   int batch = 4;
-  /// Cap on concurrent workers (0 = pool size).
+  /// Max members popped into one dispatch group — in batched mode the
+  /// batch axis of the shared forward.
+  int gather = 1;
+  /// Cap on concurrent dispatchers in per-loop mode (0 = pool size).
   int max_workers = 0;
   /// Record per-tick latencies for the p50/p95/max stats. Turn off for
   /// very long runs to skip the per-tick timestamping.
@@ -166,15 +257,19 @@ struct FleetConfig {
 };
 
 /// Schedules many independently-seeded loops. Owns the per-member Rng
-/// streams but not the loops; every loop must outlive run().
+/// streams but not the loops, slots or shared processor; all must
+/// outlive run().
 class Fleet {
  public:
-  explicit Fleet(FleetConfig cfg = {});
+  /// `shared` non-null selects batched mode (see the file comment).
+  explicit Fleet(FleetConfig cfg = {}, BatchProcessor* shared = nullptr);
 
-  /// Admits a loop unconditionally. Returns the member index (add()
-  /// order, also the index into FleetStats::loops).
+  /// Admits a loop unconditionally. In batched mode `slot` is required:
+  /// the loop's Processor, a BatchSlot bound to the shared processor.
+  /// Returns the member index (add() order, also the index into
+  /// FleetStats::loops).
   std::size_t add(SensingActionLoop& loop, FleetLoopConfig cfg,
-                  std::uint64_t seed);
+                  std::uint64_t seed, BatchSlot* slot = nullptr);
 
   /// Admission-controlled add: consults the rolling miss/shed pressure
   /// and either admits, admits on a degraded (deadline_s scaled by
@@ -182,7 +277,7 @@ class Fleet {
   /// case the loop is NOT added. With admission disabled behaves like
   /// add().
   AdmissionResult try_add(SensingActionLoop& loop, FleetLoopConfig cfg,
-                          std::uint64_t seed);
+                          std::uint64_t seed, BatchSlot* slot = nullptr);
 
   const FleetAdmission& admission() const { return admission_; }
 
@@ -196,6 +291,7 @@ class Fleet {
  private:
   struct Member {
     SensingActionLoop* loop = nullptr;
+    BatchSlot* slot = nullptr;  ///< batched mode only
     FleetLoopConfig cfg;
     Rng rng;
     long executed = 0;  ///< ticks executed this run()
@@ -205,11 +301,13 @@ class Fleet {
     double next_deadline = std::numeric_limits<double>::infinity();
     std::vector<double> tick_ms;
 
-    Member(SensingActionLoop* l, FleetLoopConfig c, std::uint64_t seed)
-        : loop(l), cfg(c), rng(seed) {}
+    Member(SensingActionLoop* l, BatchSlot* s, FleetLoopConfig c,
+           std::uint64_t seed)
+        : loop(l), slot(s), cfg(c), rng(seed) {}
   };
 
   FleetConfig cfg_;
+  BatchProcessor* shared_;
   std::vector<Member> members_;
   FleetAdmission admission_;
 };

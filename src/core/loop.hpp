@@ -261,7 +261,7 @@ class SensingActionLoop {
   /// Processor, or nullptr when the commit will not process this tick
   /// (SAFE_STOP latched, no observation to act on, or the freshest one
   /// is past max_staleness_s). Mirrors commit_tick's gating exactly so
-  /// a batching engine (batched_fleet.hpp) can run the processor work
+  /// a batched Fleet (fleet.hpp) can run the processor work
   /// for several members in one fused call *before* committing them;
   /// mutates nothing. Only meaningful between this member's sense stage
   /// and its commit — the answer depends on loop state.

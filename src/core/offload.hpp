@@ -93,7 +93,7 @@ struct OffloadConfig {
   /// instead of silently serving the low-confidence local answer.
   bool strict_uncertain = false;
   /// Always run the local model first and treat remote as an upgrade.
-  /// Required when the local Processor is a batched_fleet BatchSlot —
+  /// Required when the local Processor is a fleet BatchSlot —
   /// the staged row must be consumed exactly once per tick.
   bool prepaid_local = false;
   net::BreakerConfig breaker;

@@ -1,29 +1,29 @@
-// Batched lidar inference entry points for the fleet engines.
+// Batched lidar inference entry points for the fleet's batched mode.
 //
-// A fleet of sensing loops that all run the same perception model is
-// the multi-tenant serving shape: per member the forward is tiny, so
-// the per-call fixed costs (weight packing, tensor/arena bookkeeping,
-// pool dispatch) dominate. These adapters stack B members' occupancy
-// grids along the leading batch axis (nn/batch.hpp) and run ONE model
-// forward — the conv kernels pack each layer's weights once per call
-// and shard the (image, output-row) band space across the pool — then
-// scatter the per-member rows back.
+// A fleet of sensing loops that all run the same perception model on
+// one edge device pays, per member, for a tiny forward whose per-call
+// fixed costs (weight packing, tensor/arena bookkeeping, pool dispatch)
+// dominate. These adapters stack B members' occupancy grids along the
+// leading batch axis (nn/batch.hpp) and run ONE model forward — the
+// conv kernels pack each layer's weights once per call and shard the
+// (image, output-row) band space across the pool — then scatter the
+// per-member rows back.
 //
 // Bit-exactness: row i of a batched call is bit-identical to the B=1
 // call on the same grid (the conv lowering never splits or reorders an
 // element's reduction chain when images are added to the batch), so a
-// BatchedFleet serving these is bit-exact per member vs a serial
+// batched core::Fleet serving these is bit-exact per member vs a
 // per-loop fleet — the contract core::BatchProcessor requires.
 //
 // Threading: the wrapped model is NOT thread-safe (layers keep
 // last-input state and scratch arenas). Call these from one thread at
-// a time — the BatchedFleet coordinator does; a per-loop Fleet must
-// give each member its own model copy instead.
+// a time — a batched Fleet's one dispatcher does; a per-loop Fleet with
+// several workers must give each member its own model copy instead.
 #pragma once
 
 #include <vector>
 
-#include "core/batched_fleet.hpp"
+#include "core/fleet.hpp"
 #include "lidar/autoencoder.hpp"
 #include "lidar/detector.hpp"
 

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -39,22 +40,28 @@ void load_params(const std::vector<Tensor*>& params, std::istream& is) {
                                                      << version << "')");
   std::size_t count = 0;
   is >> count;
-  S2A_CHECK_MSG(count == params.size(),
+  S2A_CHECK_MSG(is && count == params.size(),
                 "stream holds " << count << " tensors, model expects "
                                 << params.size());
   for (Tensor* t : params) {
     S2A_CHECK(t != nullptr);
+    // Every read must succeed and every token must parse whole: a cut or
+    // garbled stream fails loudly instead of loading zeros.
     std::size_t rank = 0;
     is >> rank;
+    S2A_CHECK_MSG(is && rank == t->shape().size(),
+                  "tensor rank mismatch while loading parameters");
     std::vector<int> shape(rank);
     for (auto& d : shape) is >> d;
-    S2A_CHECK_MSG(shape == t->shape(),
+    S2A_CHECK_MSG(is && shape == t->shape(),
                   "tensor shape mismatch while loading parameters");
     for (std::size_t i = 0; i < t->numel(); ++i) {
       std::string tok;
-      is >> tok;
-      S2A_CHECK_MSG(is.good() || is.eof(), "truncated parameter stream");
-      (*t)[i] = std::strtod(tok.c_str(), nullptr);
+      S2A_CHECK_MSG(is >> tok, "truncated parameter stream");
+      char* end = nullptr;
+      (*t)[i] = std::strtod(tok.c_str(), &end);
+      S2A_CHECK_MSG(end == tok.c_str() + tok.size(),
+                    "malformed parameter value '" << tok << "'");
     }
   }
 }

@@ -1,26 +1,27 @@
-// Randomized differential harness for the cross-loop batched inference
-// engine (core/batched_fleet.hpp), plus the nn batched-forward entry
+// Randomized differential harness for the fleet's batched mode
+// (core/fleet.hpp), plus the nn batched-forward entry
 // points and the fleet admission policy.
 //
 // The headline contract: a fleet member's entire observable outcome —
 // LoopMetrics, loop state, clock, actuation history — is bit-identical
 // whether its ticks ran under a serial per-loop fleet or fused into
-// batched forwards, across member counts, gather sizes, S2A_THREADS ∈
-// {1, 4}, and fault chaos. ~50 seeded configurations sweep that space:
-// a synthetic (pure-function) batch processor covers the engine
-// plumbing broadly and cheaply, and real conv-net configurations pin
-// the whole nn stack (stack → batched im2col/GEMM forward → unstack).
+// batched forwards, across member counts, gather sizes, ticks per
+// dispatch, S2A_THREADS ∈ {1, 4}, and fault chaos. ~50 seeded
+// configurations sweep that space: a synthetic (pure-function) batch
+// processor covers the engine plumbing broadly and cheaply, and real
+// conv-net configurations pin the whole nn stack (stack → batched
+// im2col/GEMM forward → unstack).
 // Run under TSan via check.sh (ctest -L tsan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
 #include <vector>
 
-#include "core/batched_fleet.hpp"
 #include "core/fleet.hpp"
 #include "core/loop.hpp"
 #include "core/policies.hpp"
@@ -71,6 +72,7 @@ class AffineBatchProcessor : public BatchProcessor {
 
   std::vector<std::vector<double>> process_batch(
       const std::vector<const Observation*>& obs) override {
+    if (in_flight.fetch_add(1) != 0) ++overlaps;
     ++batch_calls;
     max_extent = std::max(max_extent, static_cast<long>(obs.size()));
     std::vector<const std::vector<double>*> samples;
@@ -82,13 +84,17 @@ class AffineBatchProcessor : public BatchProcessor {
       transform(x.data() + b * static_cast<std::size_t>(shape_[0]),
                 y.data() + b * static_cast<std::size_t>(shape_[0]),
                 static_cast<std::size_t>(shape_[0]));
-    return nn::unstack_batch(y);
+    std::vector<std::vector<double>> rows = nn::unstack_batch(y);
+    in_flight.fetch_sub(1);
+    return rows;
   }
 
   double energy_per_call_j() const override { return 2e-4; }
 
   long batch_calls = 0;
   long max_extent = 0;
+  std::atomic<int> in_flight{0};  ///< process_batch calls now running
+  std::atomic<long> overlaps{0};  ///< entries while another was running
 
  private:
   static void transform(const double* in, double* out, std::size_t n) {
@@ -140,6 +146,7 @@ struct MemberStack {
 struct SweepConfig {
   int members = 4;
   int gather = 4;
+  int batch = 1;  ///< ticks per dispatch
   int ticks = 40;
   int period = 1;
   bool chaos = false;
@@ -159,6 +166,7 @@ SweepConfig draw_config(std::uint64_t seed) {
   // Occasionally bound staleness so the peek/commit staleness gate and
   // the fallback paths get differential coverage too.
   if (r.bernoulli(0.3)) c.max_staleness_s = 0.12;
+  c.batch = r.bernoulli(0.5) ? 4 : 1;
   c.seed = seed;
   return c;
 }
@@ -183,7 +191,7 @@ fault::FaultPlan plan_for(const SweepConfig& c, int member) {
 }
 
 // Runs config `c` against `shared` under one engine and returns the
-// stacks for inspection. `batched` selects BatchedFleet vs a serial
+// stacks for inspection. `batched` selects a batched Fleet vs a serial
 // per-loop Fleet (single worker, so a thread-unsafe shared model is
 // safe on the serial side too).
 std::vector<std::unique_ptr<MemberStack>> run_engine(
@@ -197,13 +205,14 @@ std::vector<std::unique_ptr<MemberStack>> run_engine(
   FleetLoopConfig lc;
   lc.ticks = c.ticks;  // infinite deadlines: fully deterministic
   if (batched) {
-    BatchedFleetConfig bc;
-    bc.gather = c.gather;
-    BatchedFleet fleet(shared, bc);
+    FleetConfig fc;
+    fc.gather = c.gather;
+    fc.batch = c.batch;
+    Fleet fleet(fc, &shared);
     for (int m = 0; m < c.members; ++m)
-      fleet.add(*stacks[static_cast<std::size_t>(m)]->loop,
-                *stacks[static_cast<std::size_t>(m)]->slot, lc,
-                /*seed=*/c.seed * 97 + static_cast<std::uint64_t>(m));
+      fleet.add(*stacks[static_cast<std::size_t>(m)]->loop, lc,
+                /*seed=*/c.seed * 97 + static_cast<std::uint64_t>(m),
+                stacks[static_cast<std::size_t>(m)]->slot.get());
     FleetStats fs = fleet.run();
     EXPECT_EQ(fs.executed, static_cast<long>(c.members) * c.ticks);
   } else {
@@ -327,22 +336,26 @@ TEST(BatchedFleet, ReportsFusedForwards) {
   for (int m = 0; m < c.members; ++m)
     stacks.push_back(std::make_unique<MemberStack>(
         kNumel, shared, 1, LoopConfig{}, fault::FaultPlan{}));
-  BatchedFleetConfig bc;
-  bc.gather = c.gather;
-  BatchedFleet fleet(shared, bc);
+  FleetConfig fc;
+  fc.gather = c.gather;
+  fc.batch = 1;
+  Fleet fleet(fc, &shared);
   FleetLoopConfig lc;
   lc.ticks = c.ticks;
   for (int m = 0; m < c.members; ++m)
-    fleet.add(*stacks[static_cast<std::size_t>(m)]->loop,
-              *stacks[static_cast<std::size_t>(m)]->slot, lc, 50 + m);
+    fleet.add(*stacks[static_cast<std::size_t>(m)]->loop, lc, 50 + m,
+              stacks[static_cast<std::size_t>(m)]->slot.get());
   const FleetStats fs = fleet.run();
 
   EXPECT_EQ(fs.executed, 80);
-  EXPECT_EQ(fleet.batched_members(), 80);  // every tick was served fused
-  EXPECT_EQ(fleet.batched_forwards(), 20);  // 8 members / gather 4 per round
+  EXPECT_EQ(fs.batched_members, 80);  // every tick was served fused
+  EXPECT_EQ(fs.batched_forwards, 20);  // 8 members / gather 4 per round
   EXPECT_EQ(shared.max_extent, 4);
   // 2 groups per round × 10 rounds.
   EXPECT_EQ(fs.dispatches, 20);
+  // The shared model is not re-entrant: never two fused calls at once,
+  // even with a 4-thread pool.
+  EXPECT_EQ(shared.overlaps.load(), 0);
 }
 
 // ------------------------------------------- nn batched forward layer
@@ -488,15 +501,16 @@ TEST(FleetAdmissionPolicy, TryAddAppliesContracts) {
   acfg.reject_threshold = 0.50;
   acfg.degrade_factor = 4.0;
 
-  BatchedFleetConfig bc;
-  bc.admission = acfg;
-  BatchedFleet fleet(shared, bc);
+  FleetConfig fc;
+  fc.gather = 8;
+  fc.admission = acfg;
+  Fleet fleet(fc, &shared);
 
   MemberStack a(kNumel, shared, 1, LoopConfig{}, {});
   FleetLoopConfig lc;
   lc.ticks = 5;
   lc.deadline_s = 0.25;
-  AdmissionResult r = fleet.try_add(*a.loop, *a.slot, lc, 1);
+  AdmissionResult r = fleet.try_add(*a.loop, lc, 1, a.slot.get());
   EXPECT_EQ(r.decision, AdmissionDecision::kAdmitted);
   EXPECT_EQ(fleet.size(), 1u);
 
@@ -505,14 +519,14 @@ TEST(FleetAdmissionPolicy, TryAddAppliesContracts) {
   auto& adm = const_cast<FleetAdmission&>(fleet.admission());
   adm.record_ticks(40, 8);
   MemberStack b(kNumel, shared, 1, LoopConfig{}, {});
-  r = fleet.try_add(*b.loop, *b.slot, lc, 2);
+  r = fleet.try_add(*b.loop, lc, 2, b.slot.get());
   EXPECT_EQ(r.decision, AdmissionDecision::kDegraded);
   EXPECT_EQ(fleet.size(), 2u);
 
   // Saturate: reject — the loop must NOT be admitted.
   adm.record_shed(50);
   MemberStack c(kNumel, shared, 1, LoopConfig{}, {});
-  r = fleet.try_add(*c.loop, *c.slot, lc, 3);
+  r = fleet.try_add(*c.loop, lc, 3, c.slot.get());
   EXPECT_EQ(r.decision, AdmissionDecision::kRejected);
   EXPECT_EQ(fleet.size(), 2u);
   EXPECT_GE(r.pressure, 0.5);

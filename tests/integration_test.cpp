@@ -7,7 +7,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/batched_fleet.hpp"
 #include "core/fleet.hpp"
 #include "core/loop.hpp"
 #include "fault/fault.hpp"
@@ -320,9 +319,9 @@ TEST(Integration, BatchedLidarFleetSurvivesChaos) {
   };
   std::vector<Member> members(kMembers);
 
-  core::BatchedFleetConfig bc;
-  bc.gather = 4;
-  core::BatchedFleet engine(shared, bc);
+  core::FleetConfig fc;
+  fc.gather = 4;
+  core::Fleet engine(fc, &shared);
   core::LoopConfig lc;
   lc.dt = 0.05;
   lc.resilience.max_staleness_s = 0.2;
@@ -347,12 +346,12 @@ TEST(Integration, BatchedLidarFleetSurvivesChaos) {
         *s, *mem.slot, *mem.act, *mem.policy, lc);
     core::FleetLoopConfig flc;
     flc.ticks = kTicks;
-    engine.add(*mem.loop, *mem.slot, flc, /*seed=*/70 + m);
+    engine.add(*mem.loop, flc, /*seed=*/70 + m, mem.slot.get());
   }
 
   const core::FleetStats fs = engine.run();
   EXPECT_EQ(fs.executed, static_cast<long>(kMembers) * kTicks);
-  EXPECT_GT(engine.batched_forwards(), 0);
+  EXPECT_GT(fs.batched_forwards, 0);
 
   for (int m = 0; m < kMembers; ++m) {
     const Member& mem = members[static_cast<std::size_t>(m)];

@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <functional>
+#include <limits>
 
 #include "nn/activations.hpp"
 #include "nn/attention.hpp"
@@ -642,14 +643,40 @@ TEST(Serialize, RejectsForeignStream) {
 }
 
 TEST(Serialize, SpecialValuesSurvive) {
-  Tensor t({3}, {0.0, -0.0, 1e-308});
+  const double inf = std::numeric_limits<double>::infinity();
+  Tensor t({6}, {0.0, -0.0, 1e-308, inf, -inf,
+                 std::numeric_limits<double>::quiet_NaN()});
   std::ostringstream os;
   save_params({&t}, os);
-  Tensor u({3}, {1, 2, 3});
+  Tensor u({6}, {1, 2, 3, 4, 5, 6});
   std::istringstream is(os.str());
   load_params({&u}, is);
   EXPECT_EQ(u[0], 0.0);
   EXPECT_EQ(u[2], 1e-308);
+  EXPECT_EQ(u[3], inf);
+  EXPECT_EQ(u[4], -inf);
+  EXPECT_TRUE(std::isnan(u[5]));
+}
+
+// A cut, garbled or absurd stream fails loudly instead of loading
+// zeros or sizing an allocation from an unchecked rank.
+TEST(Serialize, CorruptStreamsThrow) {
+  Tensor t({2, 3}, {1.5, 2.5, 3.5, 4.5, 5.5, 6.5});
+  std::ostringstream os;
+  save_params({&t}, os);
+  std::string truncated = os.str();  // last two values cut off
+  for (int cut = 0; cut < 2; ++cut)
+    truncated.erase(truncated.find_last_of(' '));
+  std::string garbled = os.str();
+  garbled[garbled.find("0x")] = 'z';  // first character of a value
+  // 2^62 is past vector::max_size(), so even an unchecked loader fails
+  // without trying to allocate.
+  const std::string huge_rank = "s2a-params v1\n1\n4611686018427387904 2 3\n";
+  for (const std::string& bad : {truncated, garbled, huge_rank}) {
+    Tensor u({2, 3});
+    std::istringstream is(bad);
+    EXPECT_THROW(load_params({&u}, is), CheckError) << bad;
+  }
 }
 
 TEST(Serialize, QuantizeSurvivesRoundTrip) {
