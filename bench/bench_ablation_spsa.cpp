@@ -3,6 +3,12 @@
 // function-evaluation count is dimension-independent (2–3 per iteration),
 // which is why STARNet can run on low-power edge devices; this bench
 // quantifies the quality-vs-evaluations trade.
+//
+// Claims gate: exits non-zero unless, at every iteration count, SPSA
+// spends at least kMinEvalRatio times fewer evaluations per sample than
+// finite differences, and, from kMinGatedIters iterations on, its AUC is
+// at most kMaxAucGap below finite differences'.
+#include <cstdio>
 #include <iostream>
 
 #include "monitor/likelihood_regret.hpp"
@@ -50,33 +56,60 @@ int main() {
           "(16-parameter posterior, AUC over 24 clean + 24 anomalous)");
   t.set_header({"Optimizer", "Iterations", "Func evals/sample", "AUC"});
 
-  for (int iters : {10, 20, 40, 80}) {
-    for (bool use_spsa : {true, false}) {
-      RegretConfig cfg;
-      cfg.optimizer = use_spsa ? RegretOptimizer::kSpsa
-                               : RegretOptimizer::kFiniteDifference;
-      cfg.spsa.iterations = iters;
-      cfg.fd_iterations = iters;
+  struct Outcome {
+    int evals = 0;  // summed over all 48 samples
+    double auc = 0.0;
+  };
+  const auto run = [&](RegretOptimizer optimizer, int iters) {
+    RegretConfig cfg;
+    cfg.optimizer = optimizer;
+    cfg.spsa.iterations = iters;
+    cfg.fd_iterations = iters;
 
-      std::vector<double> scores;
-      std::vector<int> labels;
-      int evals = 0;
-      Rng srng(33);
-      for (int i = 0; i < 24; ++i) {
-        const auto r = likelihood_regret(
-            vae, clean[static_cast<std::size_t>(i)], cfg, srng);
-        scores.push_back(r.regret);
-        labels.push_back(0);
-        evals += r.function_evaluations;
-      }
-      for (int i = 0; i < 24; ++i) {
-        const auto r = likelihood_regret(vae, make_anomaly(dim, srng), cfg, srng);
-        scores.push_back(r.regret);
-        labels.push_back(1);
-        evals += r.function_evaluations;
-      }
-      t.add_row({use_spsa ? "SPSA" : "finite-diff", std::to_string(iters),
-                 std::to_string(evals / 48), Table::num(auc_roc(scores, labels), 3)});
+    std::vector<double> scores;
+    std::vector<int> labels;
+    Outcome o;
+    Rng srng(33);
+    for (int i = 0; i < 24; ++i) {
+      const auto r = likelihood_regret(
+          vae, clean[static_cast<std::size_t>(i)], cfg, srng);
+      scores.push_back(r.regret);
+      labels.push_back(0);
+      o.evals += r.function_evaluations;
+    }
+    for (int i = 0; i < 24; ++i) {
+      const auto r = likelihood_regret(vae, make_anomaly(dim, srng), cfg, srng);
+      scores.push_back(r.regret);
+      labels.push_back(1);
+      o.evals += r.function_evaluations;
+    }
+    o.auc = auc_roc(scores, labels);
+    return o;
+  };
+
+  constexpr int kMinEvalRatio = 8, kMinGatedIters = 20;
+  constexpr double kMaxAucGap = 0.05;
+  bool claims_hold = true;
+  for (int iters : {10, 20, 40, 80}) {
+    const Outcome spsa = run(RegretOptimizer::kSpsa, iters);
+    const Outcome fd = run(RegretOptimizer::kFiniteDifference, iters);
+    t.add_row({"SPSA", std::to_string(iters), std::to_string(spsa.evals / 48),
+               Table::num(spsa.auc, 3)});
+    t.add_row({"finite-diff", std::to_string(iters),
+               std::to_string(fd.evals / 48), Table::num(fd.auc, 3)});
+    if (spsa.evals * kMinEvalRatio > fd.evals) {
+      std::fprintf(stderr,
+                   "claim failed: %d iterations, SPSA %d vs finite-diff %d "
+                   "evaluations (< %dx fewer)\n",
+                   iters, spsa.evals, fd.evals, kMinEvalRatio);
+      claims_hold = false;
+    }
+    if (iters >= kMinGatedIters && spsa.auc < fd.auc - kMaxAucGap) {
+      std::fprintf(stderr,
+                   "claim failed: %d iterations, SPSA AUC %.3f vs "
+                   "finite-diff %.3f (gap > %.2f)\n",
+                   iters, spsa.auc, fd.auc, kMaxAucGap);
+      claims_hold = false;
     }
   }
   t.print(std::cout);
@@ -84,5 +117,9 @@ int main() {
   std::cout << "\nExpected: SPSA reaches comparable AUC at an order of "
                "magnitude\nfewer function evaluations per sample — the "
                "edge-deployment argument of Sec. V.\n";
-  return 0;
+  std::cout << "Claims gate (>= " << kMinEvalRatio
+            << "x fewer evaluations at every iteration count, AUC at most "
+            << kMaxAucGap << " below finite-diff from " << kMinGatedIters
+            << " iterations): " << (claims_hold ? "PASS" : "FAIL") << "\n";
+  return claims_hold ? 0 : 1;
 }

@@ -73,6 +73,7 @@
 #include "lidar/autoencoder.hpp"
 #include "lidar/batched.hpp"
 #include "lidar/voxel_grid.hpp"
+#include "monitor/starnet.hpp"
 #include "neuro/spiking.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/dense.hpp"
@@ -376,6 +377,37 @@ struct OffloadTickFixture {
   }
 };
 
+// monitor.starnet_score: one STARNet trust score — the per-tick SPSA
+// likelihood regret, ~181 ELBO evaluations — on a fitted 32-32-4 VAE
+// (the paper tick's monitor shape) with the default RegretConfig. Each
+// rep scores the same embedding with a freshly seeded Rng, so every rep
+// replays the same arithmetic.
+struct StarNetScoreFixture {
+  Rng rng{17};
+  monitor::StarNet net{config(), rng};
+  std::vector<double> embedding;
+
+  static monitor::StarNetConfig config() {
+    monitor::StarNetConfig cfg;
+    cfg.vae.input_dim = 32;  // hidden 32 and latent 4 are the defaults
+    cfg.vae_epochs = 30;
+    return cfg;
+  }
+
+  StarNetScoreFixture() {
+    std::vector<std::vector<double>> clean(64, std::vector<double>(32));
+    for (auto& x : clean)
+      for (auto& v : x) v = rng.normal();
+    net.fit(clean, rng);
+    embedding = clean[0];
+  }
+
+  void score_once() {
+    Rng spsa_rng(19);
+    benchmark::DoNotOptimize(net.score(embedding, spsa_rng));
+  }
+};
+
 // Fed-scale fixtures, shared by the fed.hier_round_1k budget workload
 // and the S2A_BENCH_FED_SCALE sweep. A tiny MLP (12 features, 16
 // hidden, 4 classes — 276 params) over synthetic cyclically-assigned
@@ -580,6 +612,10 @@ struct HotPathFixtures {
     w.push_back({"core.offload_tick", 60,
                  [fx = std::make_shared<OffloadTickFixture>()] {
                    fx->run_block();
+                 }});
+    w.push_back({"monitor.starnet_score", 200,
+                 [fx = std::make_shared<StarNetScoreFixture>()] {
+                   fx->score_once();
                  }});
     w.push_back({"fed.hier_round_1k", 15, [this] {
                    benchmark::DoNotOptimize(
@@ -1150,8 +1186,7 @@ int run_fleet_report(const char* out_path) {
     }
   };
 
-  core::FleetStats per_loop_fs;
-  {
+  const auto run_per_loop = [&] {
     util::ScopedGlobalThreads threads(kParallelThreads);
     std::vector<std::unique_ptr<ModelLoop>> loops;
     core::Fleet fleet(core::FleetConfig{/*batch=*/4});
@@ -1159,11 +1194,9 @@ int run_fleet_report(const char* out_path) {
       loops.push_back(std::make_unique<ModelLoop>(grid_numel, acfg));
       fleet.add(*loops.back()->loop, {kBatchTicks}, /*seed=*/5000 + i);
     }
-    per_loop_fs = fleet.run();
-  }
-
-  core::FleetStats batched_fs;
-  {
+    return fleet.run();
+  };
+  const auto run_batched = [&] {
     util::ScopedGlobalThreads threads(kParallelThreads);
     Rng wr(7);
     lidar::OccupancyAutoencoder shared_ae(acfg, wr);
@@ -1177,13 +1210,32 @@ int run_fleet_report(const char* out_path) {
       fleet.add(*loops.back()->loop, {kBatchTicks}, /*seed=*/5000 + i,
                 loops.back()->slot.get());
     }
-    batched_fs = fleet.run();
+    return fleet.run();
+  };
+  // One run of either variant lasts ~30 ms, so a single pair swings with
+  // host noise: interleave kBatchReps pairs and report medians, with the
+  // speedup's min and max as its spread.
+  constexpr int kBatchReps = 9;
+  const auto median = [](std::vector<double> v) {
+    return percentiles(std::move(v)).p50_ms;
+  };
+  std::vector<double> per_loop_tps, batched_tps, batched_speedups;
+  long batched_forwards = 0;
+  for (int rep = 0; rep < kBatchReps; ++rep) {
+    const core::FleetStats per_loop_fs = run_per_loop();
+    const core::FleetStats batched_fs = run_batched();
+    per_loop_tps.push_back(per_loop_fs.ticks_per_s);
+    batched_tps.push_back(batched_fs.ticks_per_s);
+    batched_speedups.push_back(batched_fs.ticks_per_s / per_loop_fs.ticks_per_s);
+    batched_forwards = batched_fs.batched_forwards;
   }
-  const double batched_speedup =
-      batched_fs.ticks_per_s / per_loop_fs.ticks_per_s;
-  printf("batched    %3d loops x %d ticks  per-loop %8.0f ticks/s | batched(gather %d) %8.0f ticks/s | speedup %.2fx (%ld fused forwards)\n",
-         kBatchLoops, kBatchTicks, per_loop_fs.ticks_per_s, kGather,
-         batched_fs.ticks_per_s, batched_speedup, batched_fs.batched_forwards);
+  const double batched_speedup = median(batched_speedups);
+  const auto [speedup_min, speedup_max] =
+      std::minmax_element(batched_speedups.begin(), batched_speedups.end());
+  printf("batched    %3d loops x %d ticks  per-loop %8.0f ticks/s | batched(gather %d) %8.0f ticks/s | speedup %.2fx (min %.2fx, max %.2fx over %d pairs; %ld fused forwards)\n",
+         kBatchLoops, kBatchTicks, median(per_loop_tps), kGather,
+         median(batched_tps), batched_speedup, *speedup_min, *speedup_max,
+         kBatchReps, batched_forwards);
 
   // Admission control: a fleet serving healthy members with feasible
   // deadlines is hit by waves of hopeless stragglers. Wave 1 lands on a
@@ -1295,10 +1347,13 @@ int run_fleet_report(const char* out_path) {
       << "  \"batched\": {\n    \"loops\": " << kBatchLoops
       << ", \"ticks_per_loop\": " << kBatchTicks
       << ", \"gather\": " << kGather
-      << ",\n    \"per_loop_ticks_per_s\": " << per_loop_fs.ticks_per_s
-      << ",\n    \"batched_ticks_per_s\": " << batched_fs.ticks_per_s
+      << ", \"repetitions\": " << kBatchReps
+      << ",\n    \"per_loop_ticks_per_s\": " << median(per_loop_tps)
+      << ",\n    \"batched_ticks_per_s\": " << median(batched_tps)
       << ",\n    \"speedup\": " << batched_speedup
-      << ",\n    \"batched_forwards\": " << batched_fs.batched_forwards
+      << ", \"speedup_min\": " << *speedup_min
+      << ", \"speedup_max\": " << *speedup_max
+      << ",\n    \"batched_forwards\": " << batched_forwards
       << "\n  },\n"
       << "  \"admission\": {\n    \"healthy_loops\": " << kHealthy
       << ", \"straggler_waves\": [" << kWave1 << ", " << kWave2 << ", "

@@ -45,7 +45,10 @@ double regret_to_reliability(double score, double threshold) {
   // embedding, overflowed ELBO) — the stream gets zero weight, it must
   // not propagate NaN into detection-score scaling. Negative and
   // sub-threshold finite scores clamp to full reliability.
-  if (!std::isfinite(score)) return 0.0;
+  if (!std::isfinite(score)) {
+    S2A_COUNTER_ADD("monitor.reliability_nonfinite", 1);
+    return 0.0;
+  }
   if (score <= threshold) return 1.0;
   return threshold / score;
 }

@@ -1,17 +1,12 @@
 #include "monitor/likelihood_regret.hpp"
 
+#include <algorithm>
+#include <span>
+
+#include "obs/obs.hpp"
 #include "util/check.hpp"
 
 namespace s2a::monitor {
-
-namespace {
-Vae::Posterior unpack(const std::vector<double>& theta, int k) {
-  Vae::Posterior q;
-  q.mu.assign(theta.begin(), theta.begin() + k);
-  q.logvar.assign(theta.begin() + k, theta.end());
-  return q;
-}
-}  // namespace
 
 RegretResult likelihood_regret(Vae& vae, const std::vector<double>& x,
                                const RegretConfig& cfg, Rng& rng) {
@@ -27,9 +22,12 @@ RegretResult likelihood_regret(Vae& vae, const std::vector<double>& x,
     theta[static_cast<std::size_t>(k + i)] = q0.logvar[static_cast<std::size_t>(i)];
   }
 
-  // Minimize negative ELBO over the per-sample posterior parameters.
+  // Minimize negative ELBO over the per-sample posterior parameters
+  // θ = (µ, logvar), scored in place without building a Posterior.
+  const std::size_t latent = static_cast<std::size_t>(k);
   auto objective = [&](const std::vector<double>& t) {
-    return -vae.elbo(x, unpack(t, k));
+    const std::span<const double> theta_view(t);
+    return -vae.elbo(x, theta_view.first(latent), theta_view.subspan(latent));
   };
 
   if (cfg.optimizer == RegretOptimizer::kSpsa) {
@@ -68,8 +66,13 @@ RegretResult likelihood_regret(Vae& vae, const std::vector<double>& x,
   }
 
   // Regret is non-negative by construction up to optimizer noise; clamp
-  // tiny negatives so downstream thresholds behave.
-  res.regret = std::max(0.0, res.elbo_optimized - res.elbo_encoder);
+  // tiny negatives (and a NaN, which std::max also maps to 0) so
+  // downstream thresholds behave, and count every substitution.
+  const double gain = res.elbo_optimized - res.elbo_encoder;
+  if (!(gain >= 0.0)) {
+    S2A_COUNTER_ADD("monitor.regret_clamped", 1);
+  }
+  res.regret = std::max(0.0, gain);
   return res;
 }
 

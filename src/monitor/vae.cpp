@@ -8,8 +8,7 @@
 
 namespace s2a::monitor {
 
-double gaussian_kl(const std::vector<double>& mu,
-                   const std::vector<double>& logvar) {
+double gaussian_kl(std::span<const double> mu, std::span<const double> logvar) {
   S2A_CHECK(mu.size() == logvar.size());
   double kl = 0.0;
   for (std::size_t i = 0; i < mu.size(); ++i)
@@ -20,12 +19,13 @@ double gaussian_kl(const std::vector<double>& mu,
 Vae::Vae(VaeConfig config, Rng& rng)
     : cfg_(config),
       mu_head_(config.hidden, config.latent_dim, rng),
-      logvar_head_(config.hidden, config.latent_dim, rng) {
+      logvar_head_(config.hidden, config.latent_dim, rng),
+      hidden_(static_cast<std::size_t>(config.hidden)) {
   encoder_trunk_.emplace<nn::Dense>(cfg_.input_dim, cfg_.hidden, rng);
   encoder_trunk_.emplace<nn::Tanh>();
-  decoder_.emplace<nn::Dense>(cfg_.latent_dim, cfg_.hidden, rng);
+  dec_in_ = &decoder_.emplace<nn::Dense>(cfg_.latent_dim, cfg_.hidden, rng);
   decoder_.emplace<nn::Tanh>();
-  decoder_.emplace<nn::Dense>(cfg_.hidden, cfg_.input_dim, rng);
+  dec_out_ = &decoder_.emplace<nn::Dense>(cfg_.hidden, cfg_.input_dim, rng);
   // Start logvar near 0 regardless of trunk output.
   logvar_head_.weight().fill(0.0);
 }
@@ -49,14 +49,38 @@ std::vector<double> Vae::decode(const std::vector<double>& z) {
   return std::vector<double>(xt.data(), xt.data() + xt.numel());
 }
 
-double Vae::elbo(const std::vector<double>& x, const Posterior& q) {
-  const std::vector<double> x_hat = decode(q.mu);
+namespace {
+// out[j] = (Σ_p w[j,p]·in[p], from 0.0 in ascending p) + b[j]: the
+// per-element chain of Dense::forward for one row (its GEMM path runs
+// n = 1 through the scalar micro_tail; matmul_nt sums the same way).
+// Fusing it here drops the Tensor copies and the per-call weight repack.
+double dense_row(const double* w, const double* in, int n, double bias) {
+  double s = 0.0;
+  for (int p = 0; p < n; ++p) s += w[p] * in[p];
+  return s + bias;
+}
+}  // namespace
+
+double Vae::elbo(std::span<const double> x, std::span<const double> mu,
+                 std::span<const double> logvar) {
+  const int d = cfg_.input_dim, h = cfg_.hidden, k = cfg_.latent_dim;
+  S2A_CHECK(static_cast<int>(x.size()) == d &&
+            static_cast<int>(mu.size()) == k && logvar.size() == mu.size());
+  const double* w1 = dec_in_->weight().data();
+  const double* b1 = dec_in_->bias().data();
+  for (int j = 0; j < h; ++j)
+    hidden_[static_cast<std::size_t>(j)] = std::tanh(
+        dense_row(w1 + static_cast<std::size_t>(j) * k, mu.data(), k, b1[j]));
+  const double* w2 = dec_out_->weight().data();
+  const double* b2 = dec_out_->bias().data();
   double log_lik = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const double d = x[i] - x_hat[i];
-    log_lik += -0.5 * d * d;  // unit-variance Gaussian, constant dropped
+  for (int i = 0; i < d; ++i) {
+    const double x_hat = dense_row(w2 + static_cast<std::size_t>(i) * h,
+                                   hidden_.data(), h, b2[i]);
+    const double diff = x[static_cast<std::size_t>(i)] - x_hat;
+    log_lik += -0.5 * diff * diff;  // unit-variance Gaussian, constant dropped
   }
-  return log_lik - cfg_.kl_weight * gaussian_kl(q.mu, q.logvar);
+  return log_lik - cfg_.kl_weight * gaussian_kl(mu, logvar);
 }
 
 double Vae::elbo(const std::vector<double>& x) { return elbo(x, encode(x)); }

@@ -4,6 +4,7 @@
 // encoder no longer explains.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "nn/dense.hpp"
@@ -21,9 +22,14 @@ struct VaeConfig {
 
 /// Gaussian encoder q(z|x) = N(µ(x), diag(exp(logvar(x)))) and Gaussian
 /// decoder p(x|z) = N(x̂(z), I).
+///
+/// Non-copyable: `dec_in_`/`dec_out_` point into the layers `decoder_`
+/// owns, which a copy would not share.
 class Vae {
  public:
   Vae(VaeConfig config, Rng& rng);
+  Vae(const Vae&) = delete;
+  Vae& operator=(const Vae&) = delete;
 
   struct Posterior {
     std::vector<double> mu, logvar;
@@ -34,7 +40,16 @@ class Vae {
   /// Deterministic ELBO with z = µ (MAP point): log p(x|µ) − KL(q‖N(0,I))
   /// up to the Gaussian constant. Deterministic so SPSA optimization and
   /// scoring are reproducible.
-  double elbo(const std::vector<double>& x, const Posterior& q);
+  ///
+  /// Fused and allocation-free: reads the decoder's weights directly and
+  /// accumulates every output from 0.0 in ascending input order before
+  /// adding the bias — the chain of Dense's GEMM path and of matmul_nt —
+  /// so it is bit-identical to scoring decode(µ) under every backend.
+  double elbo(std::span<const double> x, std::span<const double> mu,
+              std::span<const double> logvar);
+  double elbo(const std::vector<double>& x, const Posterior& q) {
+    return elbo(x, q.mu, q.logvar);
+  }
   /// ELBO under the trained encoder's own posterior.
   double elbo(const std::vector<double>& x);
 
@@ -53,15 +68,20 @@ class Vae {
   const VaeConfig& config() const { return cfg_; }
 
  private:
-  friend class LoraAdaptedVae;
   VaeConfig cfg_;
   nn::Sequential encoder_trunk_;  // x -> hidden
   nn::Dense mu_head_, logvar_head_;
   nn::Sequential decoder_;  // z -> x̂
+  nn::Dense* dec_in_ = nullptr;   // decoder_'s latent -> hidden layer
+  nn::Dense* dec_out_ = nullptr;  // decoder_'s hidden -> x̂ layer
+  std::vector<double> hidden_;    // elbo()'s tanh activations
 };
 
 /// Analytic KL(N(µ, e^{logvar}) ‖ N(0, I)).
-double gaussian_kl(const std::vector<double>& mu,
-                   const std::vector<double>& logvar);
+double gaussian_kl(std::span<const double> mu, std::span<const double> logvar);
+inline double gaussian_kl(const std::vector<double>& mu,
+                          const std::vector<double>& logvar) {
+  return gaussian_kl(std::span<const double>(mu), std::span<const double>(logvar));
+}
 
 }  // namespace s2a::monitor

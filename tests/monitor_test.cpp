@@ -1,19 +1,25 @@
 // Tests for the reliability-monitoring stack: VAE training and ELBO
-// semantics, SPSA on analytic objectives, likelihood-regret separation of
-// in- vs out-of-distribution inputs, STARNet trust gating, LoRA-based
-// adaptation, and trust-gated fusion.
+// semantics (the fused ELBO bit-for-bit against the decode() oracle),
+// SPSA on analytic objectives, likelihood-regret separation of in- vs
+// out-of-distribution inputs and its exact goldens, STARNet trust
+// gating, LoRA-based adaptation, trust-gated fusion, and the clamp
+// counters.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "monitor/fusion.hpp"
 #include "monitor/likelihood_regret.hpp"
 #include "monitor/spsa.hpp"
 #include "monitor/starnet.hpp"
 #include "monitor/vae.hpp"
+#include "nn/conv2d.hpp"
+#include "obs/obs.hpp"
 #include "util/check.hpp"
+#include "util/cpu_features.hpp"
 #include "util/stats.hpp"
 
 namespace s2a::monitor {
@@ -205,6 +211,169 @@ TEST(Regret, NonNegativeAndEncoderElboConsistent) {
   const auto r = likelihood_regret(vae, data[0], RegretConfig{}, rng);
   EXPECT_GE(r.regret, 0.0);
   EXPECT_NEAR(r.elbo_encoder, vae.elbo(data[0]), 1e-9);
+}
+
+// The ELBO as Vae scored it before fusion: decode(µ) through the
+// decoder's Sequential/Dense stack, then the Gaussian log-likelihood
+// and the KL. decode() stays on that path, so it is the oracle.
+double elbo_via_decode(Vae& vae, const std::vector<double>& x,
+                       const Vae::Posterior& q) {
+  const std::vector<double> x_hat = vae.decode(q.mu);
+  double log_lik = 0.0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double d = x[i] - x_hat[i];
+    log_lik += -0.5 * d * d;
+  }
+  return log_lik - vae.config().kl_weight * gaussian_kl(q.mu, q.logvar);
+}
+
+// Diffs the fused ELBO against the oracle on the encoder posteriors of
+// `data` plus `draws` random (x, µ, logvar) triples; returns the count.
+int expect_fused_elbo_matches_decode(Vae& vae,
+                                     const std::vector<std::vector<double>>& data,
+                                     int draws, Rng& rng) {
+  const auto d = static_cast<std::size_t>(vae.config().input_dim);
+  const auto k = static_cast<std::size_t>(vae.config().latent_dim);
+  int checked = 0;
+  for (const auto& x : data) {
+    const Vae::Posterior q = vae.encode(x);
+    EXPECT_EQ(vae.elbo(x, q.mu, q.logvar), elbo_via_decode(vae, x, q));
+    ++checked;
+  }
+  for (int i = 0; i < draws; ++i) {
+    std::vector<double> x(d);
+    Vae::Posterior q{std::vector<double>(k), std::vector<double>(k)};
+    for (auto& v : x) v = rng.normal(0.0, 2.0);
+    for (auto& v : q.mu) v = rng.normal(0.0, 1.5);
+    for (auto& v : q.logvar) v = rng.normal(0.0, 1.0);
+    EXPECT_EQ(vae.elbo(x, q), elbo_via_decode(vae, x, q));
+    ++checked;
+  }
+  return checked;
+}
+
+class ScopedSimd {
+ public:
+  explicit ScopedSimd(util::SimdIsa isa) { util::set_simd_isa(isa); }
+  ~ScopedSimd() { util::set_simd_isa(util::SimdIsa::kAuto); }
+};
+
+class ScopedNaiveConv {
+ public:
+  ScopedNaiveConv() { nn::set_conv_backend(nn::ConvBackend::kNaive); }
+  ~ScopedNaiveConv() { nn::set_conv_backend(nn::ConvBackend::kAuto); }
+};
+
+// No tolerance: the fused ELBO must reproduce decode()'s bits under the
+// default kernel, the scalar oracle kernel and the naive matmul backend.
+TEST(FusedElbo, BitIdenticalToDecodePathUnderEveryBackend) {
+  Rng rng(31);
+  VaeConfig fitted_cfg;
+  fitted_cfg.input_dim = 8;
+  Vae fitted(fitted_cfg, rng);
+  const auto data = make_clean_data(64, 8, rng);
+  fitted.fit(data, 40, 16, 5e-3, rng);
+  // Odd widths and a non-unit KL weight on an unfitted model.
+  VaeConfig odd_cfg;
+  odd_cfg.input_dim = 7;
+  odd_cfg.hidden = 19;
+  odd_cfg.latent_dim = 3;
+  odd_cfg.kl_weight = 0.25;
+  Vae odd(odd_cfg, rng);
+  const std::vector<std::vector<double>> clean(data.begin(), data.begin() + 16);
+
+  for (int mode = 0; mode < 3; ++mode) {
+    SCOPED_TRACE(mode == 0 ? "auto" : mode == 1 ? "scalar" : "naive");
+    const ScopedSimd simd(mode == 1 ? util::SimdIsa::kScalar
+                                    : util::SimdIsa::kAuto);
+    std::optional<ScopedNaiveConv> naive;
+    if (mode == 2) naive.emplace();
+    Rng draw_rng(32);
+    EXPECT_GE(expect_fused_elbo_matches_decode(fitted, clean, 200, draw_rng),
+              200);
+    EXPECT_EQ(expect_fused_elbo_matches_decode(odd, {}, 100, draw_rng), 100);
+  }
+}
+
+TEST(FusedElbo, RejectsMismatchedShapes) {
+  Rng rng(33);
+  VaeConfig cfg;
+  cfg.input_dim = 4;
+  Vae vae(cfg, rng);
+  const std::vector<double> x(4, 0.1), mu(4, 0.0), lv(4, 0.0);
+  EXPECT_THROW(vae.elbo(std::vector<double>(3, 0.1), mu, lv), CheckError);
+  EXPECT_THROW(vae.elbo(x, std::vector<double>(3, 0.0), lv), CheckError);
+  EXPECT_THROW(vae.elbo(x, mu, std::vector<double>(5, 0.0)), CheckError);
+}
+
+// Exact regret values for a fixed seed, recorded from the unfused
+// (decode-per-evaluation) implementation: the fused objective must
+// replay SPSA and finite differences bit for bit.
+TEST(Regret, GoldenValuesAtFixedSeed) {
+  Rng rng(41);
+  VaeConfig vcfg;
+  vcfg.input_dim = 8;
+  Vae vae(vcfg, rng);
+  const auto data = make_clean_data(48, 8, rng);
+  vae.fit(data, 30, 16, 5e-3, rng);
+  const auto anomaly = make_anomaly(8, rng);
+
+  RegretConfig spsa_cfg;
+  RegretConfig fd_cfg;
+  fd_cfg.optimizer = RegretOptimizer::kFiniteDifference;
+  const RegretResult golden[] = {
+      {0.19173368154078352, -1.2866262484576922, -1.0948925669169087, 181},
+      {4.3392135773493834, -96.869175583465307, -92.529962006115923, 181},
+      {0.23471296682833342, -1.2866262484576922, -1.0519132816293588, 681},
+      {5.4210727720440559, -96.869175583465307, -91.448102811421251, 681},
+  };
+  Rng srng(42);
+  int i = 0;
+  for (const RegretConfig* cfg : {&spsa_cfg, &fd_cfg}) {
+    for (const std::vector<double>* x : {&data[0], &anomaly}) {
+      SCOPED_TRACE(i);
+      const RegretResult r = likelihood_regret(vae, *x, *cfg, srng);
+      EXPECT_EQ(r.regret, golden[i].regret);
+      EXPECT_EQ(r.elbo_encoder, golden[i].elbo_encoder);
+      EXPECT_EQ(r.elbo_optimized, golden[i].elbo_optimized);
+      EXPECT_EQ(r.function_evaluations, golden[i].function_evaluations);
+      ++i;
+    }
+  }
+  // Both optimizers drew exactly as many numbers as before.
+  EXPECT_EQ(srng.uniform(0.0, 1.0), 0.53897335207828079);
+}
+
+class ScopedObs {
+ public:
+  ScopedObs() : prev_(obs::enabled()) { obs::set_enabled(true); }
+  ~ScopedObs() { obs::set_enabled(prev_); }
+
+ private:
+  bool prev_;
+};
+
+std::int64_t counter_value(const char* name) {
+  return obs::registry().counter(name).value();
+}
+
+// A NaN embedding makes the regret NaN, which the clamp maps to 0; the
+// substitution is counted, an ordinary score is not.
+TEST(Regret, ClampIsCounted) {
+  const ScopedObs on;
+  Rng rng(43);
+  VaeConfig vcfg;
+  vcfg.input_dim = 4;
+  Vae vae(vcfg, rng);
+  RegretConfig cfg;
+  cfg.spsa.iterations = 5;
+  const std::int64_t before = counter_value("monitor.regret_clamped");
+  likelihood_regret(vae, {0.1, -0.2, 0.3, 0.0}, cfg, rng);
+  EXPECT_EQ(counter_value("monitor.regret_clamped"), before);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const RegretResult r = likelihood_regret(vae, {nan, 0.0, 0.0, 0.0}, cfg, rng);
+  EXPECT_EQ(r.regret, 0.0);
+  EXPECT_EQ(counter_value("monitor.regret_clamped"), before + 1);
 }
 
 TEST(StarNetMonitor, TrustsCleanFlagsCorrupted) {
@@ -437,6 +606,17 @@ TEST(AdaptiveFusion, RegretReliabilityClampsNonFiniteAndNegative) {
   ASSERT_EQ(fused.size(), 1u);
   EXPECT_TRUE(std::isfinite(fused[0].score));
   EXPECT_DOUBLE_EQ(fused[0].score, 0.0);
+}
+
+TEST(AdaptiveFusion, NonFiniteRegretIsCounted) {
+  const ScopedObs on;
+  const std::int64_t before = counter_value("monitor.reliability_nonfinite");
+  EXPECT_DOUBLE_EQ(regret_to_reliability(-5.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(regret_to_reliability(3.0, 1.0), 1.0 / 3.0);
+  EXPECT_EQ(counter_value("monitor.reliability_nonfinite"), before);
+  regret_to_reliability(std::numeric_limits<double>::quiet_NaN(), 1.0);
+  regret_to_reliability(std::numeric_limits<double>::infinity(), 1.0);
+  EXPECT_EQ(counter_value("monitor.reliability_nonfinite"), before + 2);
 }
 
 TEST(StarNetUncertaintyAdapter, UnfittedReportsConfident) {
