@@ -790,7 +790,9 @@ int run_kernels_report(const char* out_path) {
     fprintf(stderr, "cannot open %s for writing\n", out_path);
     return 1;
   }
-  out << "{\n  \"threads\": 1,\n  \"cpu\": \"" << util::cpu_feature_string()
+  out << "{\n  \"threads\": 1,\n  \"hardware_concurrency\": "
+      << std::thread::hardware_concurrency() << ",\n  \"cpu\": \""
+      << util::cpu_feature_string()
       << "\",\n  \"simd\": \"" << active_simd_name()
       << "\",\n  \"ae_reconstruct\": {\n"
       << "    \"gemm\": {\"p50_ms\": " << gemm_path.p50_ms

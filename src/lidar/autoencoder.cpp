@@ -36,14 +36,14 @@ nn::Tensor OccupancyAutoencoder::decode(const nn::Tensor& latent) {
 nn::Tensor OccupancyAutoencoder::reconstruct(const nn::Tensor& masked_grid) {
   S2A_TRACE_SCOPE_CAT("lidar.ae_reconstruct", "lidar");
   // The conv/deconv forwards shard across BEV rows internally (conv2d.cpp
-  // via util::global_pool); the elementwise sigmoid shards here. Both are
+  // via util::global_pool). The sigmoid is a few thousand independent
+  // elements — less than one pool chunk — so it runs inline; both are
   // per-element independent, so reconstruction is bit-exact at every
   // thread count.
   nn::Tensor logits = decode(encode(masked_grid));
-  util::global_pool().parallel_for(0, logits.numel(), 4096,
-                                   [&logits](std::size_t i) {
-                                     logits[i] = 1.0 / (1.0 + std::exp(-logits[i]));
-                                   });
+  double* p = logits.data();
+  for (std::size_t i = 0; i < logits.numel(); ++i)
+    p[i] = 1.0 / (1.0 + std::exp(-p[i]));
   return logits;
 }
 

@@ -5,6 +5,7 @@
 
 #include "obs/obs.hpp"
 #include "util/check.hpp"
+#include "util/finite.hpp"
 #include "util/stats.hpp"
 
 namespace s2a::monitor {
@@ -74,6 +75,14 @@ double StarNetUncertainty::score(const core::Observation& obs) {
 }
 
 bool StarNet::trusted(const std::vector<double>& embedding, Rng& rng) {
+  S2A_CHECK_MSG(fitted_, "fit() before trusted()");
+  // Fail closed: likelihood_regret clamps a NaN regret to 0, so a
+  // non-finite embedding would score as perfectly in-distribution.
+  if (!util::all_finite(embedding)) {
+    S2A_COUNTER_ADD("monitor.untrusted", 1);
+    S2A_COUNTER_ADD("monitor.untrusted_nonfinite", 1);
+    return false;
+  }
   const bool ok = score(embedding, rng) <= threshold_;
   // One macro per branch: each call site caches a single instrument.
   if (ok) {

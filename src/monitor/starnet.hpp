@@ -37,6 +37,7 @@ class StarNet {
   /// Likelihood-regret anomaly score (higher = less trustworthy).
   double score(const std::vector<double>& embedding, Rng& rng);
   /// True when the embedding's score falls below the calibrated threshold.
+  /// An embedding with a NaN or infinite entry is never trusted.
   bool trusted(const std::vector<double>& embedding, Rng& rng);
 
   double threshold() const { return threshold_; }

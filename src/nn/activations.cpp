@@ -9,8 +9,10 @@ namespace s2a::nn {
 Tensor ReLU::forward(const Tensor& x) {
   last_x_ = x;
   Tensor y = x;
-  for (std::size_t i = 0; i < y.numel(); ++i)
-    if (y[i] < 0.0) y[i] = 0.0;
+  // A select rather than a branch, so the loop vectorizes. -0.0 and NaN
+  // fail `< 0.0` and pass through unchanged, as they did with an `if`.
+  double* p = y.data();
+  for (std::size_t i = 0; i < y.numel(); ++i) p[i] = p[i] < 0.0 ? 0.0 : p[i];
   return y;
 }
 

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 
 #include "nn/gemm.hpp"
 #include "nn/im2col.hpp"
@@ -78,6 +80,13 @@ Tensor conv_weight_init(int c0, int c1, int k, Rng& rng) {
 inline std::size_t idx4(int a, int b, int c, int d, int db, int dc, int dd) {
   return ((static_cast<std::size_t>(a) * db + b) * dc + c) * dd + d;
 }
+
+// Bytes of the tensors a pass reads and writes, for its span's args.
+std::uint64_t tensor_bytes(std::initializer_list<std::size_t> numels) {
+  std::uint64_t total = 0;
+  for (const std::size_t n : numels) total += n * sizeof(double);
+  return total;
+}
 }  // namespace
 
 void set_conv_backend(ConvBackend backend) { g_backend.store(backend); }
@@ -114,6 +123,9 @@ Tensor Conv2D::forward(const Tensor& x) {
   last_out_hw_ = static_cast<std::size_t>(oh) * ow;
 
   Tensor y({n, cout_, oh, ow});
+  S2A_TRACE_SCOPE_WORK("nn.conv_forward", "nn", macs_per_sample() * n,
+                       tensor_bytes({x.numel(), w_.numel(), b_.numel(),
+                                     y.numel()}));
   if (conv_backend() == ConvBackend::kNaive)
     forward_naive(x, y, n, h, w, oh, ow);
   else
@@ -231,12 +243,16 @@ void Conv2D::forward_naive(const Tensor& x, Tensor& y, int n, int h, int w,
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {
-  S2A_TRACE_SCOPE_CAT("nn.conv_backward", "nn");
   S2A_CHECK(!last_x_.empty());
   const int n = last_x_.dim(0), h = last_x_.dim(2), w = last_x_.dim(3);
   const int oh = out_size(h), ow = out_size(w);
   S2A_CHECK(grad_out.shape().size() == 4 && grad_out.dim(1) == cout_ &&
             grad_out.dim(2) == oh && grad_out.dim(3) == ow);
+  // Two reductions (weight and input gradients), each the forward's MACs.
+  S2A_TRACE_SCOPE_WORK("nn.conv_backward", "nn", 2 * macs_per_sample() * n,
+                       tensor_bytes({grad_out.numel(), last_x_.numel(),
+                                     w_.numel(), gw_.numel(),
+                                     last_x_.numel()}));
 
   // Bias gradient, shared by both backends: one addend per output pixel
   // of the channel, accumulated in (b, oy, ox) order.
@@ -412,6 +428,42 @@ ConvTranspose2D::ConvTranspose2D(int in_channels, int out_channels, int kernel,
       gw_({in_channels, out_channels, kernel, kernel}),
       gb_({out_channels}) {
   S2A_CHECK(kernel > 0 && stride > 0 && padding >= 0);
+  tap_begin_.push_back(0);
+  for (int p = 0; p < stride; ++p) {
+    for (int t = kernel - 1; t >= 0; --t)
+      if (t % stride == p) taps_.push_back(t);
+    tap_begin_.push_back(static_cast<int>(taps_.size()));
+  }
+  phase_wp_.assign(static_cast<std::size_t>(stride) * stride, nullptr);
+}
+
+int ConvTranspose2D::phase_kdim(int py, int px) const {
+  return cin_ * num_taps(py) * num_taps(px);
+}
+
+// Rows (ic, jy, jx) of phase (py, px)'s [Cout, kdim] weight matrix,
+// written in pack_a's layout for panel height `mr`: panel oc / mr,
+// k-major within the panel, rows past Cout zero. mr == 1 is plain
+// row-major.
+void ConvTranspose2D::pack_phase_weights(int py, int px, int mr,
+                                         double* out) const {
+  const int* kys = taps(py);
+  const int* kxs = taps(px);
+  const int nky = num_taps(py), nkx = num_taps(px);
+  const std::size_t oc_stride = static_cast<std::size_t>(k_) * k_;
+  for (int i0 = 0; i0 < cout_; i0 += mr) {
+    const int rows = std::min(mr, cout_ - i0);
+    for (int ic = 0; ic < cin_; ++ic)
+      for (int jy = 0; jy < nky; ++jy)
+        for (int jx = 0; jx < nkx; ++jx) {
+          const double* src =
+              w_.data() + idx4(ic, i0, kys[jy], kxs[jx], cout_, k_, k_);
+          for (int i = 0; i < rows; ++i)
+            out[i] = src[static_cast<std::size_t>(i) * oc_stride];
+          std::fill(out + rows, out + mr, 0.0);
+          out += mr;
+        }
+  }
 }
 
 Tensor ConvTranspose2D::forward(const Tensor& x) {
@@ -423,6 +475,9 @@ Tensor ConvTranspose2D::forward(const Tensor& x) {
   last_in_hw_ = static_cast<std::size_t>(h) * w;
 
   Tensor y({n, cout_, oh, ow});
+  S2A_TRACE_SCOPE_WORK("nn.deconv_forward", "nn", macs_per_sample() * n,
+                       tensor_bytes({x.numel(), w_.numel(), b_.numel(),
+                                     y.numel()}));
   if (conv_backend() == ConvBackend::kNaive)
     forward_naive(x, y, n, h, w, oh, ow);
   else
@@ -447,6 +502,12 @@ Tensor ConvTranspose2D::forward(const Tensor& x) {
 // scratch tile that is scattered onto y. Dropping the structural zeros
 // removes exact no-op additions from each element's chain, so the
 // result stays bit-identical to the naive scatter.
+//
+// Within a phase, oy + pad - ky is a multiple of s for every tap, so
+// output row yi of the phase grid reads input row cy + yi with
+// cy = (oy0 + pad - ky) / s exact (and likewise cx for columns). Each
+// lowered row is therefore a shifted contiguous copy of an input row
+// with zero edges, like im2col's stride-1 case.
 void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
                                    int w, int oh, int ow) {
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
@@ -459,40 +520,18 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
   const bool int8 = quantized_ && quant_backend() == QuantBackend::kInt8;
   const double xs = int8 ? activation_scale(x.data(), x.numel()) : 0.0;
 
-  // Tap lists per phase: ky values with ky % s == phase, descending so
-  // ascending list order is ascending source row iy.
-  std::vector<std::vector<int>> phase_taps(static_cast<std::size_t>(s));
-  for (int p = 0; p < s; ++p)
-    for (int t = k_ - 1; t >= 0; --t)
-      if (t % s == p) phase_taps[static_cast<std::size_t>(p)].push_back(t);
-
-  // Repacked weight panel per (py, px) phase pair: rows (ic, jy, jx)
-  // over the dense tap lists, matching the phase column matrix below.
-  std::vector<double*> wp(static_cast<std::size_t>(s) * s, nullptr);
-  std::vector<int> kdim_ph(static_cast<std::size_t>(s) * s, 0);
-  for (int py = 0; py < s; ++py)
-    for (int px = 0; px < s; ++px) {
-      const auto& kys = phase_taps[static_cast<std::size_t>(py)];
-      const auto& kxs = phase_taps[static_cast<std::size_t>(px)];
-      const int nky = static_cast<int>(kys.size());
-      const int nkx = static_cast<int>(kxs.size());
-      const int kdim = cin_ * nky * nkx;
-      kdim_ph[static_cast<std::size_t>(py) * s + px] = kdim;
-      if (kdim == 0 || int8) continue;
-      double* wph = arena_.alloc(static_cast<std::size_t>(cout_) * kdim);
-      for (int ic = 0; ic < cin_; ++ic)
-        for (int jy = 0; jy < nky; ++jy)
-          for (int jx = 0; jx < nkx; ++jx) {
-            const int r = (ic * nky + jy) * nkx + jx;
-            for (int oc = 0; oc < cout_; ++oc)
-              wph[static_cast<std::size_t>(oc) * kdim + r] =
-                  w_[idx4(ic, oc, kys[static_cast<std::size_t>(jy)],
-                          kxs[static_cast<std::size_t>(jx)], cout_, k_, k_)];
-          }
-      double* packed = arena_.alloc(packed_a_size(cout_, kdim));
-      pack_a(wph, kdim, cout_, kdim, packed);
-      wp[static_cast<std::size_t>(py) * s + px] = packed;
-    }
+  // Packed weight panel per (py, px) phase pair, rebuilt every call
+  // because weights move between forwards during training.
+  if (!int8)
+    for (int py = 0; py < s; ++py)
+      for (int px = 0; px < s; ++px) {
+        double*& wp = phase_wp_[static_cast<std::size_t>(py) * s + px];
+        const int kdim = phase_kdim(py, px);
+        wp = nullptr;
+        if (kdim == 0) continue;
+        wp = arena_.alloc(packed_a_size(cout_, kdim));
+        pack_phase_weights(py, px, gemm_mr(), wp);
+      }
 
   // One band of one image: every phase subgrid intersecting output rows
   // [oy_lo, oy_hi) of image b gets its compact GEMM. Extracted so the
@@ -502,97 +541,90 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
     const double* xb = x.data() + static_cast<std::size_t>(b) * cin_ * h * w;
     double* yb = y.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
     for (int py = 0; py < s; ++py)
-            for (int px = 0; px < s; ++px) {
-              // This phase's output subgrid within the band: rows
-              // oy0, oy0+s, ... and columns ox0, ox0+s, ...
-              int oy0 = oy_lo;
-              while (oy0 < oy_hi && (oy0 + pad_) % s != py) ++oy0;
-              const int ny = oy0 < oy_hi ? (oy_hi - oy0 + s - 1) / s : 0;
-              const int ox0_raw = (px - pad_) % s;
-              const int ox0 = ox0_raw < 0 ? ox0_raw + s : ox0_raw;
-              const int nx = ox0 < ow ? (ow - ox0 + s - 1) / s : 0;
-              if (ny == 0 || nx == 0) continue;
+      for (int px = 0; px < s; ++px) {
+        // This phase's output subgrid within the band: rows
+        // oy0, oy0+s, ... and columns ox0, ox0+s, ...
+        int oy0 = oy_lo;
+        while (oy0 < oy_hi && (oy0 + pad_) % s != py) ++oy0;
+        const int ny = oy0 < oy_hi ? (oy_hi - oy0 + s - 1) / s : 0;
+        const int ox0_raw = (px - pad_) % s;
+        const int ox0 = ox0_raw < 0 ? ox0_raw + s : ox0_raw;
+        const int nx = ox0 < ow ? (ow - ox0 + s - 1) / s : 0;
+        if (ny == 0 || nx == 0) continue;
 
-              const int kdim = kdim_ph[static_cast<std::size_t>(py) * s + px];
-              const int nph = ny * nx;
-              if (kdim == 0) {
-                // No tap reaches this phase (kernel shorter than the
-                // stride): those pixels are pure bias.
-                for (int oc = 0; oc < cout_; ++oc)
-                  for (int yi = 0; yi < ny; ++yi) {
-                    double* yrow = yb + static_cast<std::size_t>(oc) * out_hw +
-                                   static_cast<std::size_t>(oy0 + yi * s) * ow;
-                    for (int xi = 0; xi < nx; ++xi)
-                      yrow[ox0 + xi * s] = b_[static_cast<std::size_t>(oc)];
-                  }
-                continue;
-              }
-
-              const auto& kys = phase_taps[static_cast<std::size_t>(py)];
-              const auto& kxs = phase_taps[static_cast<std::size_t>(px)];
-              const int nky = static_cast<int>(kys.size());
-              const int nkx = static_cast<int>(kxs.size());
-              double* col =
-                  band_arena.alloc(static_cast<std::size_t>(kdim) * nph);
-              double* row = col;
-              for (int ic = 0; ic < cin_; ++ic) {
-                const double* plane =
-                    xb + static_cast<std::size_t>(ic) * h * w;
-                for (int jy = 0; jy < nky; ++jy) {
-                  const int ky = kys[static_cast<std::size_t>(jy)];
-                  for (int jx = 0; jx < nkx; ++jx) {
-                    const int kx = kxs[static_cast<std::size_t>(jx)];
-                    for (int yi = 0; yi < ny; ++yi) {
-                      // Phase membership guarantees s divides num_y.
-                      const int num_y = oy0 + yi * s + pad_ - ky;
-                      const int iy = num_y / s;
-                      double* dst = row + static_cast<std::size_t>(yi) * nx;
-                      if (num_y < 0 || iy >= h) {
-                        std::fill_n(dst, nx, 0.0);
-                        continue;
-                      }
-                      const double* src =
-                          plane + static_cast<std::size_t>(iy) * w;
-                      for (int xi = 0; xi < nx; ++xi) {
-                        const int num_x = ox0 + xi * s + pad_ - kx;
-                        const int ix = num_x / s;
-                        dst[xi] = (num_x < 0 || ix >= w) ? 0.0 : src[ix];
-                      }
-                    }
-                    row += static_cast<std::size_t>(nph);
-                  }
-                }
-              }
-
-              double* tile =
-                  band_arena.alloc(static_cast<std::size_t>(cout_) * nph);
-              for (int oc = 0; oc < cout_; ++oc)
-                std::fill_n(tile + static_cast<std::size_t>(oc) * nph, nph,
-                            b_[static_cast<std::size_t>(oc)]);
-              if (int8) {
-                const std::size_t count =
-                    static_cast<std::size_t>(kdim) * nph;
-                std::int8_t* colq = alloc_int8(band_arena, count);
-                quantize_values(col, count, xs, colq);
-                gemm_int8(qw_ph_[static_cast<std::size_t>(py) * s + px], nph,
-                          colq, nph, xs, tile, nph);
-              } else {
-                gemm_packed(cout_, nph, kdim,
-                            wp[static_cast<std::size_t>(py) * s + px], col,
-                            nph, tile, nph);
-              }
-              for (int oc = 0; oc < cout_; ++oc) {
-                const double* trow = tile + static_cast<std::size_t>(oc) * nph;
-                for (int yi = 0; yi < ny; ++yi) {
-                  double* yrow =
-                      yb + static_cast<std::size_t>(oc) * out_hw +
-                      static_cast<std::size_t>(oy0 + yi * s) * ow;
-                  for (int xi = 0; xi < nx; ++xi)
-                    yrow[ox0 + xi * s] =
-                        trow[static_cast<std::size_t>(yi) * nx + xi];
-                }
-              }
+        const int kdim = phase_kdim(py, px);
+        const int nph = ny * nx;
+        if (kdim == 0) {
+          // No tap reaches this phase (kernel shorter than the
+          // stride): those pixels are pure bias.
+          for (int oc = 0; oc < cout_; ++oc)
+            for (int yi = 0; yi < ny; ++yi) {
+              double* yrow = yb + static_cast<std::size_t>(oc) * out_hw +
+                             static_cast<std::size_t>(oy0 + yi * s) * ow;
+              for (int xi = 0; xi < nx; ++xi)
+                yrow[ox0 + xi * s] = b_[static_cast<std::size_t>(oc)];
             }
+          continue;
+        }
+
+        const int* kys = taps(py);
+        const int* kxs = taps(px);
+        const int nky = num_taps(py), nkx = num_taps(px);
+        double* col = band_arena.alloc(static_cast<std::size_t>(kdim) * nph);
+        double* row = col;
+        for (int ic = 0; ic < cin_; ++ic) {
+          const double* plane = xb + static_cast<std::size_t>(ic) * h * w;
+          for (int jy = 0; jy < nky; ++jy) {
+            // Grid rows [ylo, yhi) read input rows cy + yi inside [0, h).
+            const int cy = (oy0 + pad_ - kys[jy]) / s;
+            const int ylo = std::clamp(-cy, 0, ny);
+            const int yhi = std::clamp(h - cy, ylo, ny);
+            for (int jx = 0; jx < nkx; ++jx) {
+              const int cx = (ox0 + pad_ - kxs[jx]) / s;
+              const int xlo = std::clamp(-cx, 0, nx);
+              const int xhi = std::clamp(w - cx, xlo, nx);
+              std::fill(row, row + static_cast<std::size_t>(ylo) * nx, 0.0);
+              for (int yi = ylo; yi < yhi; ++yi) {
+                double* dst = row + static_cast<std::size_t>(yi) * nx;
+                const double* src =
+                    plane + static_cast<std::size_t>(cy + yi) * w;
+                std::fill(dst, dst + xlo, 0.0);
+                if (xhi > xlo)
+                  std::copy(src + cx + xlo, src + cx + xhi, dst + xlo);
+                std::fill(dst + xhi, dst + nx, 0.0);
+              }
+              std::fill(row + static_cast<std::size_t>(yhi) * nx, row + nph,
+                        0.0);
+              row += static_cast<std::size_t>(nph);
+            }
+          }
+        }
+
+        double* tile = band_arena.alloc(static_cast<std::size_t>(cout_) * nph);
+        for (int oc = 0; oc < cout_; ++oc)
+          std::fill_n(tile + static_cast<std::size_t>(oc) * nph, nph,
+                      b_[static_cast<std::size_t>(oc)]);
+        if (int8) {
+          const std::size_t count = static_cast<std::size_t>(kdim) * nph;
+          std::int8_t* colq = alloc_int8(band_arena, count);
+          quantize_values(col, count, xs, colq);
+          gemm_int8(qw_ph_[static_cast<std::size_t>(py) * s + px], nph, colq,
+                    nph, xs, tile, nph);
+        } else {
+          gemm_packed(cout_, nph, kdim,
+                      phase_wp_[static_cast<std::size_t>(py) * s + px], col,
+                      nph, tile, nph);
+        }
+        for (int oc = 0; oc < cout_; ++oc) {
+          const double* trow = tile + static_cast<std::size_t>(oc) * nph;
+          for (int yi = 0; yi < ny; ++yi) {
+            double* yrow = yb + static_cast<std::size_t>(oc) * out_hw +
+                           static_cast<std::size_t>(oy0 + yi * s) * ow;
+            for (int xi = 0; xi < nx; ++xi)
+              yrow[ox0 + xi * s] = trow[static_cast<std::size_t>(yi) * nx + xi];
+          }
+        }
+      }
   };
 
   // Band space is the flattened (image, output-row) grid, so a batched
@@ -663,12 +695,16 @@ void ConvTranspose2D::forward_naive(const Tensor& x, Tensor& y, int n, int h,
 }
 
 Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
-  S2A_TRACE_SCOPE_CAT("nn.deconv_backward", "nn");
   S2A_CHECK(!last_x_.empty());
   const int n = last_x_.dim(0), h = last_x_.dim(2), w = last_x_.dim(3);
   const int oh = out_size(h), ow = out_size(w);
   S2A_CHECK(grad_out.shape().size() == 4 && grad_out.dim(1) == cout_ &&
             grad_out.dim(2) == oh && grad_out.dim(3) == ow);
+  // Two reductions (weight and input gradients), each the forward's MACs.
+  S2A_TRACE_SCOPE_WORK("nn.deconv_backward", "nn", 2 * macs_per_sample() * n,
+                       tensor_bytes({grad_out.numel(), last_x_.numel(),
+                                     w_.numel(), gw_.numel(),
+                                     last_x_.numel()}));
 
   // Bias gradient, shared by both backends ((b, oy, ox) order).
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
@@ -788,33 +824,17 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
 
 void ConvTranspose2D::quantize() {
   // Snapshot the same dense per-phase [Cout, kdim] matrices
-  // forward_gemm gathers each call (rows (ic, jy, jx) over the
-  // descending-tap lists), one QuantizedMatrix per (py, px) phase.
+  // forward_gemm packs each call, one QuantizedMatrix per (py, px)
+  // phase.
   const int s = stride_;
-  std::vector<std::vector<int>> phase_taps(static_cast<std::size_t>(s));
-  for (int p = 0; p < s; ++p)
-    for (int t = k_ - 1; t >= 0; --t)
-      if (t % s == p) phase_taps[static_cast<std::size_t>(p)].push_back(t);
   qw_ph_.assign(static_cast<std::size_t>(s) * s, QuantizedMatrix{});
   std::vector<double> wph;
   for (int py = 0; py < s; ++py)
     for (int px = 0; px < s; ++px) {
-      const auto& kys = phase_taps[static_cast<std::size_t>(py)];
-      const auto& kxs = phase_taps[static_cast<std::size_t>(px)];
-      const int nky = static_cast<int>(kys.size());
-      const int nkx = static_cast<int>(kxs.size());
-      const int kdim = cin_ * nky * nkx;
+      const int kdim = phase_kdim(py, px);
       if (kdim == 0) continue;
-      wph.assign(static_cast<std::size_t>(cout_) * kdim, 0.0);
-      for (int ic = 0; ic < cin_; ++ic)
-        for (int jy = 0; jy < nky; ++jy)
-          for (int jx = 0; jx < nkx; ++jx) {
-            const int r = (ic * nky + jy) * nkx + jx;
-            for (int oc = 0; oc < cout_; ++oc)
-              wph[static_cast<std::size_t>(oc) * kdim + r] =
-                  w_[idx4(ic, oc, kys[static_cast<std::size_t>(jy)],
-                          kxs[static_cast<std::size_t>(jx)], cout_, k_, k_)];
-          }
+      wph.resize(static_cast<std::size_t>(cout_) * kdim);
+      pack_phase_weights(py, px, 1, wph.data());
       qw_ph_[static_cast<std::size_t>(py) * s + px] =
           quantize_rows(wph.data(), kdim, cout_, kdim);
     }

@@ -112,11 +112,27 @@ class ConvTranspose2D : public Layer {
                       int oh, int ow);
   void backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h, int w,
                      int oh, int ow);
+  // Sub-pixel phase p's taps: kernel offsets t with t % stride == p,
+  // descending, so ascending list order is ascending source row.
+  const int* taps(int p) const {
+    return taps_.data() + tap_begin_[static_cast<std::size_t>(p)];
+  }
+  int num_taps(int p) const {
+    return tap_begin_[static_cast<std::size_t>(p) + 1] -
+           tap_begin_[static_cast<std::size_t>(p)];
+  }
+  int phase_kdim(int py, int px) const;
+  void pack_phase_weights(int py, int px, int mr, double* out) const;
 
   int cin_, cout_, k_, stride_, pad_;
+  // Phase tap tables, fixed by k_ and stride_ at construction: phase p
+  // owns taps_[tap_begin_[p], tap_begin_[p + 1]).
+  std::vector<int> taps_, tap_begin_;
+  // This forward's packed weight panel per (py, px) phase, in arena_.
+  std::vector<double*> phase_wp_;
   bool quantized_ = false;
   // One int8 weight snapshot per (py, px) sub-pixel phase — the same
-  // dense [Cout, kdim] matrices forward_gemm gathers per call, built
+  // dense [Cout, kdim] matrices forward_gemm packs per call, built
   // once at quantize() time. Indexed py * stride + px.
   std::vector<QuantizedMatrix> qw_ph_;
   Tensor w_, b_, gw_, gb_;  // w: [Cin, Cout, k, k]

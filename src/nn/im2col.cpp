@@ -13,6 +13,15 @@ void im2col(const double* x, int cin, int h, int w, int k, int stride,
     const double* plane = x + static_cast<std::size_t>(ic) * h * w;
     for (int ky = 0; ky < k; ++ky)
       for (int kx = 0; kx < k; ++kx) {
+        // The tap reads ix = ix0 + ox*stride, which lies in [0, w)
+        // exactly for ox in [ox_lo, ox_hi). Fixing that span once per
+        // tap leaves each row a zero-fill, a branch-free gather (a
+        // memcpy at stride 1) and a zero-fill.
+        const int ix0 = kx - pad;  // ix at ox = 0
+        const int ox_lo =
+            std::min(ow, ix0 >= 0 ? 0 : (stride - 1 - ix0) / stride);
+        const int ox_hi = std::max(
+            ox_lo, std::min(ow, w > ix0 ? (w - ix0 + stride - 1) / stride : 0));
         // One lowered row: tap (ic, ky, kx) for every output pixel in
         // the band, in (oy, ox) order.
         for (int oy = oy_lo; oy < oy_hi; ++oy) {
@@ -23,23 +32,17 @@ void im2col(const double* x, int cin, int h, int w, int k, int stride,
             continue;
           }
           const double* src = plane + static_cast<std::size_t>(iy) * w;
+          std::fill(row, row + ox_lo, 0.0);
           if (stride == 1) {
-            // Contiguous case: the valid ox span is one memcpy.
-            const int ix0 = kx - pad;  // ix at ox = 0
-            const int ox_lo = std::max(0, -ix0);
-            const int ox_hi = std::min(ow, w - ix0);
-            for (int ox = 0; ox < std::min(ox_lo, ow); ++ox) row[ox] = 0.0;
             if (ox_hi > ox_lo)
               std::memcpy(row + ox_lo, src + ix0 + ox_lo,
                           sizeof(double) *
                               static_cast<std::size_t>(ox_hi - ox_lo));
-            for (int ox = std::max(ox_lo, ox_hi); ox < ow; ++ox) row[ox] = 0.0;
           } else {
-            for (int ox = 0; ox < ow; ++ox) {
-              const int ix = ox * stride + kx - pad;
-              row[ox] = (ix < 0 || ix >= w) ? 0.0 : src[ix];
-            }
+            for (int ox = ox_lo; ox < ox_hi; ++ox)
+              row[ox] = src[ix0 + ox * stride];
           }
+          std::fill(row + ox_hi, row + ow, 0.0);
         }
         out += static_cast<std::size_t>(band) * ow;
       }

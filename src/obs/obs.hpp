@@ -55,6 +55,12 @@ inline double seconds_since(std::uint64_t start_ns) {
 #define S2A_TRACE_SCOPE_CAT(name, category)                            \
   ::s2a::obs::TraceScope S2A_OBS_CONCAT(s2a_obs_scope_, __LINE__)(name, \
                                                                   category)
+/// Span that also carries the work it covers (`macs`, `bytes`) as trace
+/// args. Both are evaluated even while tracing is off, so keep them to
+/// cheap integer arithmetic.
+#define S2A_TRACE_SCOPE_WORK(name, category, macs, bytes)              \
+  ::s2a::obs::TraceScope S2A_OBS_CONCAT(s2a_obs_scope_, __LINE__)(     \
+      name, category, macs, bytes)
 
 /// Counter increment; `name` must be a string literal (one instrument
 /// per call site, resolved once).
@@ -92,6 +98,11 @@ inline double seconds_since(std::uint64_t start_ns) {
   } while (0)
 #define S2A_TRACE_SCOPE_CAT(name, category) \
   do {                                      \
+  } while (0)
+#define S2A_TRACE_SCOPE_WORK(name, category, macs, bytes) \
+  do {                                                    \
+    (void)sizeof(macs);                                   \
+    (void)sizeof(bytes);                                  \
   } while (0)
 #define S2A_COUNTER_ADD(name, delta) \
   do {                               \

@@ -92,8 +92,9 @@ TraceBuffer& trace_buffer() {
   return instance;
 }
 
-TraceScope::TraceScope(const char* name, const char* category)
-    : name_(name), category_(category) {
+TraceScope::TraceScope(const char* name, const char* category,
+                       std::uint64_t macs, std::uint64_t bytes)
+    : name_(name), category_(category), macs_(macs), bytes_(bytes) {
   if (!enabled()) return;
   active_ = true;
   depth_ = thread_depth()++;
@@ -111,6 +112,8 @@ TraceScope::~TraceScope() {
   ev.dur_ns = end_ns - start_ns_;
   ev.tid = thread_index();
   ev.depth = depth_;
+  ev.macs = macs_;
+  ev.bytes = bytes_;
   trace_buffer().push(ev);
 }
 
@@ -131,7 +134,11 @@ void write_chrome_trace(const TraceBuffer& buffer, std::ostream& os) {
     // Complete events ("ph":"X"); ts/dur are microseconds (double).
     os << "\",\"ph\":\"X\",\"pid\":1,\"tid\":" << ev.tid
        << ",\"ts\":" << static_cast<double>(ev.start_ns) / 1e3
-       << ",\"dur\":" << static_cast<double>(ev.dur_ns) / 1e3 << "}";
+       << ",\"dur\":" << static_cast<double>(ev.dur_ns) / 1e3;
+    if (ev.macs != 0 || ev.bytes != 0)
+      os << ",\"args\":{\"macs\":" << ev.macs << ",\"bytes\":" << ev.bytes
+         << "}";
+    os << "}";
   }
   os << "\n],\"displayTimeUnit\":\"ms\"}\n";
   os.precision(old_precision);

@@ -31,6 +31,11 @@ struct TraceEvent {
   std::uint32_t tid = 0;    ///< dense per-process thread index
   std::uint32_t depth = 0;  ///< nesting depth at entry (0 = top level)
   std::uint64_t seq = 0;    ///< global completion order
+  /// Work the span covers, exported as trace args when either is
+  /// nonzero: multiply-accumulates, and bytes of the tensors it reads
+  /// and writes (inputs, weights, outputs).
+  std::uint64_t macs = 0;
+  std::uint64_t bytes = 0;
 };
 
 class TraceBuffer {
@@ -71,7 +76,9 @@ void set_enabled(bool on);
 /// the scope is inert: no clock read, no buffer write, no depth change.
 class TraceScope {
  public:
-  explicit TraceScope(const char* name, const char* category = "s2a");
+  /// `macs` and `bytes` record the work the span covers (see TraceEvent).
+  explicit TraceScope(const char* name, const char* category = "s2a",
+                      std::uint64_t macs = 0, std::uint64_t bytes = 0);
   ~TraceScope();
 
   TraceScope(const TraceScope&) = delete;
@@ -80,6 +87,8 @@ class TraceScope {
  private:
   const char* name_;
   const char* category_;
+  std::uint64_t macs_;
+  std::uint64_t bytes_;
   std::uint64_t start_ns_ = 0;
   std::uint32_t depth_ = 0;
   bool active_ = false;

@@ -395,6 +395,28 @@ TEST(StarNetMonitor, TrustsCleanFlagsCorrupted) {
   EXPECT_LE(anom_trusted, 4);
 }
 
+// The regret clamp maps a NaN score to 0, which would pass any
+// threshold; trusted() must reject non-finite embeddings itself.
+TEST(StarNetMonitor, NonFiniteEmbeddingIsUntrusted) {
+  const ScopedObs on;
+  Rng rng(13);
+  StarNetConfig cfg;
+  cfg.vae.input_dim = 8;
+  StarNet net(cfg, rng);
+  const auto clean = make_clean_data(64, 8, rng);
+  net.fit(clean, rng);
+  const std::int64_t before = counter_value("monitor.untrusted_nonfinite");
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  for (const double v : bad) {
+    std::vector<double> e = clean[0];
+    e[3] = v;
+    EXPECT_FALSE(net.trusted(e, rng)) << v;
+  }
+  EXPECT_EQ(counter_value("monitor.untrusted_nonfinite"), before + 3);
+}
+
 TEST(StarNetMonitor, ThresholdMatchesCalibrationPercentile) {
   Rng rng(11);
   StarNetConfig cfg;

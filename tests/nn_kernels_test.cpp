@@ -8,6 +8,8 @@
 // suites and the S2A_NAIVE_CONV oracle both lean on it.
 #include <cstdint>
 #include <cstdlib>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -22,6 +24,7 @@
 #include "nn/layer.hpp"
 #include "nn/quant.hpp"
 #include "nn/tensor.hpp"
+#include "obs/obs.hpp"
 #include "util/cpu_features.hpp"
 #include "util/rng.hpp"
 #include "util/scratch_arena.hpp"
@@ -413,16 +416,24 @@ TEST(ConvBackendEquivalence, Conv2DBitExactAcrossShapes) {
   Rng rng(42);
   struct Case {
     int cin, cout, k, stride, pad, h, w;
+    int n = 2;
   };
   const Case cases[] = {
       {1, 1, 1, 1, 0, 5, 5},   {2, 3, 3, 1, 1, 7, 5},
       {3, 4, 3, 2, 1, 9, 11},  {4, 16, 3, 2, 1, 48, 48},
       {2, 5, 5, 3, 2, 13, 17}, {1, 2, 4, 2, 1, 10, 6},
       {6, 4, 3, 1, 0, 9, 9},
+      // Edge shapes for the per-tap valid-span gather: kernel shorter
+      // than the stride, pad >= k, pad = k - 1, 1x1 and 1xN inputs,
+      // stride 3 with k = 5, and batch 3.
+      {3, 4, 1, 2, 0, 7, 9},   {2, 3, 2, 3, 0, 8, 10},
+      {2, 3, 3, 2, 3, 5, 6},   {2, 3, 3, 2, 2, 6, 7},
+      {3, 2, 3, 2, 1, 1, 1},   {2, 3, 3, 2, 1, 1, 9},
+      {2, 3, 5, 3, 1, 11, 13}, {3, 5, 3, 2, 1, 9, 10, 3},
   };
   for (const auto& c : cases) {
     Conv2D conv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
-    const Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
+    const Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
     Tensor naive, fast;
     {
       ScopedBackend backend(ConvBackend::kNaive);
@@ -435,7 +446,7 @@ TEST(ConvBackendEquivalence, Conv2DBitExactAcrossShapes) {
     EXPECT_EQ(diff_count(naive, fast), 0u)
         << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
         << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
-        << " w=" << c.w;
+        << " w=" << c.w << " n=" << c.n;
   }
 }
 
@@ -443,15 +454,24 @@ TEST(ConvBackendEquivalence, ConvTranspose2DBitExactAcrossShapes) {
   Rng rng(43);
   struct Case {
     int cin, cout, k, stride, pad, h, w;
+    int n = 2;
   };
   const Case cases[] = {
       {1, 1, 1, 1, 0, 5, 5},  {3, 2, 3, 1, 1, 7, 5},
       {2, 3, 4, 2, 1, 9, 11}, {32, 16, 4, 2, 1, 12, 12},
       {2, 2, 5, 3, 2, 6, 7},  {4, 1, 3, 2, 0, 5, 9},
+      // Edge shapes for the sub-pixel phase gather: kernel shorter than
+      // the stride (phases with no tap are pure bias), pad >= k,
+      // pad = k - 1, 1x1 and 1xN inputs, stride 3 with k = 5, and
+      // batch 3.
+      {3, 2, 1, 2, 0, 5, 6},  {2, 3, 2, 3, 0, 4, 5},
+      {2, 3, 3, 2, 3, 6, 7},  {2, 3, 4, 2, 3, 5, 6},
+      {3, 2, 4, 2, 1, 1, 1},  {2, 3, 4, 2, 1, 1, 7},
+      {2, 3, 5, 3, 1, 5, 6},  {4, 3, 4, 2, 1, 6, 5, 3},
   };
   for (const auto& c : cases) {
     ConvTranspose2D deconv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
-    const Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
+    const Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
     Tensor naive, fast;
     {
       ScopedBackend backend(ConvBackend::kNaive);
@@ -464,7 +484,7 @@ TEST(ConvBackendEquivalence, ConvTranspose2DBitExactAcrossShapes) {
     EXPECT_EQ(diff_count(naive, fast), 0u)
         << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
         << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
-        << " w=" << c.w;
+        << " w=" << c.w << " n=" << c.n;
   }
 }
 
@@ -500,6 +520,83 @@ TEST(ConvBackendEquivalence, GemmPathBitExactAcrossThreadCounts) {
         << threads << " threads";
     EXPECT_EQ(diff_count(deconv_serial, deconv.forward(z)), 0u)
         << threads << " threads";
+  }
+
+  // The paper tick's layers on its 32x32x4 grid: the reconstruct
+  // encoder (shared with the detector backbone), both decoder deconvs
+  // (the first is also the detector's upsampler) and the detector's
+  // 1x1 heads, each against the naive oracle at every thread count.
+  struct PaperLayer {
+    const char* name;
+    std::unique_ptr<Layer> layer;
+    Tensor x;
+  };
+  std::vector<PaperLayer> paper;
+  paper.push_back({"conv1", std::make_unique<Conv2D>(4, 16, 3, 2, 1, rng),
+                   Tensor::randn({1, 4, 32, 32}, rng)});
+  paper.push_back({"conv2", std::make_unique<Conv2D>(16, 32, 3, 2, 1, rng),
+                   Tensor::randn({1, 16, 16, 16}, rng)});
+  paper.push_back({"deconv1",
+                   std::make_unique<ConvTranspose2D>(32, 16, 4, 2, 1, rng),
+                   Tensor::randn({1, 32, 8, 8}, rng)});
+  paper.push_back({"deconv2",
+                   std::make_unique<ConvTranspose2D>(16, 4, 4, 2, 1, rng),
+                   Tensor::randn({1, 16, 16, 16}, rng)});
+  paper.push_back({"cls_head", std::make_unique<Conv2D>(16, 3, 1, 1, 0, rng),
+                   Tensor::randn({1, 16, 16, 16}, rng)});
+  paper.push_back({"off_head", std::make_unique<Conv2D>(16, 2, 1, 1, 0, rng),
+                   Tensor::randn({1, 16, 16, 16}, rng)});
+  std::vector<Tensor> oracle;
+  {
+    ScopedBackend naive(ConvBackend::kNaive);
+    for (auto& p : paper) oracle.push_back(p.layer->forward(p.x));
+  }
+  ScopedBackend gemm(ConvBackend::kGemm);
+  for (int threads : {1, 2, 3, 4, 7}) {
+    util::ScopedGlobalThreads scoped(threads);
+    for (std::size_t i = 0; i < paper.size(); ++i)
+      EXPECT_EQ(diff_count(oracle[i], paper[i].layer->forward(paper[i].x)), 0u)
+          << paper[i].name << ", " << threads << " threads";
+  }
+}
+
+// nn.conv_forward / nn.deconv_forward and the backward spans carry the
+// pass's MACs and the bytes of the tensors it reads and writes.
+TEST(ConvSpans, CarryMacsAndBytes) {
+  const bool was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  obs::trace_buffer().clear();
+  Rng rng(48);
+  Conv2D conv(3, 5, 3, 2, 1, rng);          // 9x9 -> 5x5
+  ConvTranspose2D deconv(5, 2, 4, 2, 1, rng);  // 5x5 -> 10x10
+  const Tensor x = Tensor::randn({2, 3, 9, 9}, rng);
+  const Tensor z = conv.forward(x);
+  const Tensor y = deconv.forward(z);
+  deconv.backward(Tensor::randn({2, 2, 10, 10}, rng));
+  conv.backward(Tensor::randn({2, 5, 5, 5}, rng));
+  obs::set_enabled(was_enabled);
+
+  // Element counts: conv x 486, w 135, b 5, y 250; deconv x 250, w 160,
+  // b 2, y 400. Forward bytes cover x, w, b and y; backward bytes cover
+  // grad_out, x, w, gw and dx.
+  const std::uint64_t conv_macs = 5ull * 3 * 9 * 25 * 2;
+  const std::uint64_t deconv_macs = 5ull * 2 * 16 * 25 * 2;
+  struct Want {
+    const char* name;
+    std::uint64_t macs, bytes;
+  };
+  const Want want[] = {
+      {"nn.conv_forward", conv_macs, 8 * (486 + 135 + 5 + 250)},
+      {"nn.deconv_forward", deconv_macs, 8 * (250 + 160 + 2 + 400)},
+      {"nn.deconv_backward", 2 * deconv_macs, 8 * (400 + 250 + 2 * 160 + 250)},
+      {"nn.conv_backward", 2 * conv_macs, 8 * (250 + 486 + 2 * 135 + 486)},
+  };
+  const auto events = obs::trace_buffer().events();
+  ASSERT_EQ(events.size(), std::size(want));
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_STREQ(events[i].name, want[i].name);
+    EXPECT_EQ(events[i].macs, want[i].macs) << want[i].name;
+    EXPECT_EQ(events[i].bytes, want[i].bytes) << want[i].name;
   }
 }
 
@@ -598,26 +695,36 @@ TEST(ConvBackendEquivalence, Conv2DBackwardBitExactAcrossShapes) {
   Rng rng(45);
   struct Case {
     int cin, cout, k, stride, pad, h, w;
+    int n = 2;
   };
   const Case cases[] = {
       {1, 1, 1, 1, 0, 5, 5},   {2, 3, 3, 1, 1, 7, 5},
       {3, 4, 3, 2, 1, 9, 11},  {4, 16, 3, 2, 1, 48, 48},
       {2, 5, 5, 3, 2, 13, 17}, {1, 2, 4, 2, 1, 10, 6},
       {6, 4, 3, 1, 0, 9, 9},
+      // Edge shapes for the per-tap valid-span gather: kernel shorter
+      // than the stride, pad >= k, pad = k - 1, 1x1 and 1xN inputs,
+      // stride 3 with k = 5, and batch 3.
+      {3, 4, 1, 2, 0, 7, 9},   {2, 3, 2, 3, 0, 8, 10},
+      {2, 3, 3, 2, 3, 5, 6},   {2, 3, 3, 2, 2, 6, 7},
+      {3, 2, 3, 2, 1, 1, 1},   {2, 3, 3, 2, 1, 1, 9},
+      {2, 3, 5, 3, 1, 11, 13}, {3, 5, 3, 2, 1, 9, 10, 3},
   };
   for (const auto& c : cases) {
     Conv2D conv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
-    const Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
+    const Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
     const Tensor g = Tensor::randn(
-        {2, c.cout, conv.out_size(c.h), conv.out_size(c.w)}, rng);
+        {c.n, c.cout, conv.out_size(c.h), conv.out_size(c.w)}, rng);
     const auto naive = run_backward(conv, x, g, ConvBackend::kNaive);
     const auto fast = run_backward(conv, x, g, ConvBackend::kGemm);
     EXPECT_EQ(diff_count(naive.dx, fast.dx), 0u)
         << "dx: cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
-        << " stride=" << c.stride << " pad=" << c.pad;
+        << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
+        << " w=" << c.w << " n=" << c.n;
     EXPECT_EQ(diff_count(naive.gw, fast.gw), 0u)
         << "gw: cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
-        << " stride=" << c.stride << " pad=" << c.pad;
+        << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
+        << " w=" << c.w << " n=" << c.n;
     EXPECT_EQ(diff_count(naive.gb, fast.gb), 0u) << "gb";
   }
 }
@@ -626,25 +733,36 @@ TEST(ConvBackendEquivalence, ConvTranspose2DBackwardBitExactAcrossShapes) {
   Rng rng(46);
   struct Case {
     int cin, cout, k, stride, pad, h, w;
+    int n = 2;
   };
   const Case cases[] = {
       {1, 1, 1, 1, 0, 5, 5},  {3, 2, 3, 1, 1, 7, 5},
       {2, 3, 4, 2, 1, 9, 11}, {32, 16, 4, 2, 1, 12, 12},
       {2, 2, 5, 3, 2, 6, 7},  {4, 1, 3, 2, 0, 5, 9},
+      // Edge shapes for the sub-pixel phase gather: kernel shorter than
+      // the stride (phases with no tap are pure bias), pad >= k,
+      // pad = k - 1, 1x1 and 1xN inputs, stride 3 with k = 5, and
+      // batch 3.
+      {3, 2, 1, 2, 0, 5, 6},  {2, 3, 2, 3, 0, 4, 5},
+      {2, 3, 3, 2, 3, 6, 7},  {2, 3, 4, 2, 3, 5, 6},
+      {3, 2, 4, 2, 1, 1, 1},  {2, 3, 4, 2, 1, 1, 7},
+      {2, 3, 5, 3, 1, 5, 6},  {4, 3, 4, 2, 1, 6, 5, 3},
   };
   for (const auto& c : cases) {
     ConvTranspose2D deconv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
-    const Tensor x = Tensor::randn({2, c.cin, c.h, c.w}, rng);
+    const Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
     const Tensor g = Tensor::randn(
-        {2, c.cout, deconv.out_size(c.h), deconv.out_size(c.w)}, rng);
+        {c.n, c.cout, deconv.out_size(c.h), deconv.out_size(c.w)}, rng);
     const auto naive = run_backward(deconv, x, g, ConvBackend::kNaive);
     const auto fast = run_backward(deconv, x, g, ConvBackend::kGemm);
     EXPECT_EQ(diff_count(naive.dx, fast.dx), 0u)
         << "dx: cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
-        << " stride=" << c.stride << " pad=" << c.pad;
+        << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
+        << " w=" << c.w << " n=" << c.n;
     EXPECT_EQ(diff_count(naive.gw, fast.gw), 0u)
         << "gw: cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
-        << " stride=" << c.stride << " pad=" << c.pad;
+        << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
+        << " w=" << c.w << " n=" << c.n;
     EXPECT_EQ(diff_count(naive.gb, fast.gb), 0u) << "gb";
   }
 }

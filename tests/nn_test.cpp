@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <functional>
+#include <iterator>
 #include <limits>
 
 #include "nn/activations.hpp"
@@ -231,6 +234,28 @@ TEST(Activations, ReluGradientCheck) {
   for (std::size_t i = 0; i < x.numel(); ++i)
     if (std::abs(x[i]) < 0.1) x[i] = 0.2;
   check_gradients(relu, x);
+}
+
+// The forward is a select so it vectorizes; it must keep the bits the
+// branchy `if (x < 0) x = 0` produced. 37 elements cover vector bodies
+// and a scalar tail at every vector width.
+TEST(ReLU, ForwardKeepsSignedZeroNaNAndInf) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const double in[] = {-0.0, nan, -inf, inf, -1.5, 2.5, 0.0};
+  const double want[] = {-0.0, nan, 0.0, inf, 0.0, 2.5, 0.0};
+  constexpr std::size_t kPattern = std::size(in);
+  const auto bits = [](double v) {
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+  };
+  Tensor x({37});
+  for (std::size_t i = 0; i < x.numel(); ++i) x[i] = in[i % kPattern];
+  ReLU relu;
+  const Tensor y = relu.forward(x);
+  for (std::size_t i = 0; i < y.numel(); ++i)
+    EXPECT_EQ(bits(y[i]), bits(want[i % kPattern])) << "element " << i;
 }
 
 TEST(Activations, LeakyReluNegativeSlope) {

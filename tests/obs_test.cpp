@@ -236,6 +236,26 @@ TEST(Trace, ChromeExportIsWellFormedAndNested) {
             std::count(json.begin(), json.end(), ']'));
 }
 
+TEST(Trace, WorkArgsAreRecordedAndExportedWhenSet) {
+  ScopedObs on(true);
+  obs::trace_buffer().clear();
+  { S2A_TRACE_SCOPE_WORK("obs_test.work", "test", 1234, 5678); }
+  { S2A_TRACE_SCOPE("obs_test.plain"); }
+  const auto events = obs::trace_buffer().events();
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].macs, 1234u);
+  EXPECT_EQ(events[0].bytes, 5678u);
+  EXPECT_EQ(events[1].macs, 0u);
+  EXPECT_EQ(events[1].bytes, 0u);
+  std::ostringstream os;
+  obs::write_chrome_trace(obs::trace_buffer(), os);
+  const std::string json = os.str();
+  // Only the work span carries args.
+  EXPECT_NE(json.find("\"args\":{\"macs\":1234,\"bytes\":5678}"),
+            std::string::npos);
+  EXPECT_EQ(json.find("\"args\""), json.rfind("\"args\""));
+}
+
 // ---- Exporters ----
 
 TEST(Exporter, JsonlRoundTripsEveryInstrumentKind) {
