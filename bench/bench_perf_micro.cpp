@@ -8,10 +8,11 @@
 // of instrumentation when disabled (the <2% overhead budget quoted in
 // docs/OBSERVABILITY.md). Run with S2A_TRACE=<path> to also write a
 // Chrome trace of the instrumented benchmark bodies.
-// With S2A_BENCH_PARALLEL=<out.json> the binary instead times the three
-// pool-sharded hot paths (lidar.voxelize, lidar.ae_reconstruct,
-// fed.round) at 1 thread and at 4 threads and writes serial-vs-parallel
-// p50/p95 latencies plus speedups to the given JSON file.
+// With S2A_BENCH_PARALLEL=<out.json> the binary instead times every
+// fixture workload (lidar.voxelize, lidar.ae_reconstruct, fed.round, the
+// training steps, ...) at 1 thread and at 4 threads and writes
+// serial-vs-parallel p50/p95 latencies plus speedups to the given JSON
+// file.
 // With S2A_BENCH_KERNELS=<out.json> it times the GEMM conv path against
 // the naive-loop oracle (single-threaded), the int8 quantized
 // reconstruct against the float path, and the raw nn::gemm shapes the
@@ -267,7 +268,7 @@ BENCHMARK(BM_LoopTickObsOn);
 
 // ---- Serial-vs-parallel report (S2A_BENCH_PARALLEL=<out.json>) ----
 //
-// Times each pool-sharded hot path at 1 thread and at kParallelThreads
+// Times each fixture workload at 1 thread and at kParallelThreads
 // with steady_clock (google-benchmark stays out of the way so the two
 // configurations see identical call sequences), then writes p50/p95 and
 // the p50 speedup per workload.
@@ -497,9 +498,7 @@ struct HotPathFixtures {
   std::unique_ptr<FedScaleFixture> fed_hier;
 
   static HotPathFixtures make() {
-    // lidar.voxelize: a 360x32 scan (11520 returns) is well above the
-    // kMinParallelReturns threshold, so the sharded path actually
-    // engages.
+    // lidar.voxelize: a 360x32 scan (11520 returns).
     sim::LidarConfig lc;
     lc.azimuth_steps = 360;
     lc.elevation_steps = 32;
@@ -508,8 +507,8 @@ struct HotPathFixtures {
     const sim::Scene scene = sim::generate_scene(sim::SceneConfig{}, rng);
     sim::PointCloud pc = lidar.full_scan(scene, rng);
 
-    // lidar.ae_reconstruct: default 48x48 grid keeps the conv/deconv
-    // MACs above the inline threshold.
+    // lidar.ae_reconstruct: the default 48x48 grid, the largest any
+    // caller builds.
     lidar::AutoencoderConfig ac;
     lidar::OccupancyAutoencoder ae(ac, rng);
     nn::Tensor bev =

@@ -58,12 +58,11 @@ run_tsan() {
     --target thread_pool_test obs_test nn_kernels_test lidar_test \
              federated_test federated_hier_test fault_test fleet_test \
              net_test fleet_batch_test
-  # Run every tsan-labeled suite (concurrency-bearing: kernel sharding,
-  # obs, fault chaos, the pipelined/fleet/batched execution engines).
-  # Force a multi-threaded global pool — and force the sharded paths past
-  # the effective_parallelism() serial fallback — so the parallel paths
+  # Run every tsan-labeled suite (concurrency-bearing: batched conv
+  # forwards, obs, fault chaos, the pipelined/fleet/batched execution
+  # engines). Force a multi-threaded global pool so the parallel paths
   # actually run under TSan even on small CI machines.
-  S2A_THREADS=4 S2A_FORCE_PARALLEL=1 \
+  S2A_THREADS=4 \
     ctest --test-dir build-tsan -L tsan --output-on-failure
 }
 

@@ -6,7 +6,6 @@
 #include "nn/loss.hpp"
 #include "obs/obs.hpp"
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 
 namespace s2a::lidar {
 
@@ -35,11 +34,8 @@ nn::Tensor OccupancyAutoencoder::decode(const nn::Tensor& latent) {
 
 nn::Tensor OccupancyAutoencoder::reconstruct(const nn::Tensor& masked_grid) {
   S2A_TRACE_SCOPE_CAT("lidar.ae_reconstruct", "lidar");
-  // The conv/deconv forwards shard across BEV rows internally (conv2d.cpp
-  // via util::global_pool). The sigmoid is a few thousand independent
-  // elements — less than one pool chunk — so it runs inline; both are
-  // per-element independent, so reconstruction is bit-exact at every
-  // thread count.
+  // One scan runs serially on the calling thread; a batched grid spreads
+  // its images over the pool inside the conv forwards (nn/conv2d.cpp).
   nn::Tensor logits = decode(encode(masked_grid));
   double* p = logits.data();
   for (std::size_t i = 0; i < logits.numel(); ++i)
@@ -79,14 +75,8 @@ double OccupancyAutoencoder::train_step(const nn::Tensor& masked,
   auto loss = nn::bce_with_logits(logits, target);
 
   // Counteract occupancy sparsity (see AutoencoderConfig::pos_weight).
-  // Per-element independent, so sharding it (like the backward kernels
-  // it feeds) keeps the step bit-exact at every thread count.
-  nn::Tensor& grad = loss.grad;
-  const double pos_weight = cfg_.pos_weight;
-  util::global_pool().parallel_for(
-      0, grad.numel(), 4096, [&grad, &target, pos_weight](std::size_t i) {
-        if (target[i] > 0.5) grad[i] *= pos_weight;
-      });
+  for (std::size_t i = 0; i < loss.grad.numel(); ++i)
+    if (target[i] > 0.5) loss.grad[i] *= cfg_.pos_weight;
 
   if (objective == PretrainObjective::kSurfaceWeighted) {
     const auto w = surface_weights(target, cfg_.grid);

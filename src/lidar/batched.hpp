@@ -5,9 +5,8 @@
 // fixed costs (weight packing, tensor/arena bookkeeping, pool dispatch)
 // dominate. These adapters stack B members' occupancy grids along the
 // leading batch axis (nn/batch.hpp) and run ONE model forward — the
-// conv kernels pack each layer's weights once per call and shard the
-// (image, output-row) band space across the pool — then scatter the
-// per-member rows back.
+// conv kernels pack each layer's weights once per call and spread the
+// whole images across the pool — then scatter the per-member rows back.
 //
 // Bit-exactness: row i of a batched call is bit-identical to the B=1
 // call on the same grid (the conv lowering never splits or reorders an

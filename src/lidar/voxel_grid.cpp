@@ -1,75 +1,12 @@
 #include "lidar/voxel_grid.hpp"
 
-#include <bit>
 #include <cmath>
-#include <cstdint>
 #include <numbers>
 
 #include "util/check.hpp"
-#include "util/thread_pool.hpp"
 #include "obs/obs.hpp"
 
 namespace s2a::lidar {
-
-namespace {
-
-// Bins cloud.returns[lo, hi) into `occ` (a [nz][ny][nx] bitmap). Shared
-// by the serial path and the per-chunk parallel shards so both orders
-// produce the identical voxel set.
-void bin_returns(const sim::PointCloud& cloud, const VoxelGridConfig& cfg,
-                 double ground_tolerance, std::size_t lo, std::size_t hi,
-                 std::vector<bool>& occ) {
-  for (std::size_t r_idx = lo; r_idx < hi; ++r_idx) {
-    const auto& r = cloud.returns[r_idx];
-    if (!r.hit) continue;
-    if (r.point.z < cfg.z_min + ground_tolerance) continue;
-    const int ix =
-        static_cast<int>((r.point.x + cfg.extent) / (2.0 * cfg.extent) * cfg.nx);
-    const int iy =
-        static_cast<int>((r.point.y + cfg.extent) / (2.0 * cfg.extent) * cfg.ny);
-    const int iz = static_cast<int>((r.point.z - cfg.z_min) /
-                                    (cfg.z_max - cfg.z_min) * cfg.nz);
-    if (ix < 0 || ix >= cfg.nx || iy < 0 || iy >= cfg.ny || iz < 0 ||
-        iz >= cfg.nz)
-      continue;
-    occ[(static_cast<std::size_t>(iz) * cfg.ny + iy) * cfg.nx + ix] = true;
-  }
-}
-
-// Same binning, but into a packed 64-bit word bitmap (bit i == voxel i).
-// The parallel shards use this so the merge is a word-wide OR instead of
-// a per-voxel vector<bool> walk per chunk.
-void bin_returns_mask(const sim::PointCloud& cloud, const VoxelGridConfig& cfg,
-                      double ground_tolerance, std::size_t lo, std::size_t hi,
-                      std::uint64_t* mask) {
-  for (std::size_t r_idx = lo; r_idx < hi; ++r_idx) {
-    const auto& r = cloud.returns[r_idx];
-    if (!r.hit) continue;
-    if (r.point.z < cfg.z_min + ground_tolerance) continue;
-    const int ix =
-        static_cast<int>((r.point.x + cfg.extent) / (2.0 * cfg.extent) * cfg.nx);
-    const int iy =
-        static_cast<int>((r.point.y + cfg.extent) / (2.0 * cfg.extent) * cfg.ny);
-    const int iz = static_cast<int>((r.point.z - cfg.z_min) /
-                                    (cfg.z_max - cfg.z_min) * cfg.nz);
-    if (ix < 0 || ix >= cfg.nx || iy < 0 || iy >= cfg.ny || iz < 0 ||
-        iz >= cfg.nz)
-      continue;
-    const std::size_t idx =
-        (static_cast<std::size_t>(iz) * cfg.ny + iy) * cfg.nx + ix;
-    mask[idx >> 6] |= std::uint64_t{1} << (idx & 63);
-  }
-}
-
-// Below this many returns the pool dispatch + shard-bitmap merge costs
-// more than just binning serially. Measured crossover on the dev box:
-// binning runs at ~8 ns/return while a dispatch + word-OR merge round
-// costs ~10 us, so a 2048-return cloud loses ~50% going parallel and the
-// two paths meet at roughly 8k returns (above which the word-mask shards
-// are at worst break-even even when the pool is oversubscribed).
-constexpr std::size_t kMinParallelReturns = 8192;
-
-}  // namespace
 
 VoxelGrid::VoxelGrid(VoxelGridConfig config)
     : cfg_(config),
@@ -85,47 +22,26 @@ std::size_t VoxelGrid::index(int ix, int iy, int iz) const {
   return (static_cast<std::size_t>(iz) * cfg_.ny + iy) * cfg_.nx + ix;
 }
 
+// One serial pass over the returns: binning runs at a few ns per return,
+// so a whole scan costs less than waking the pool would.
 VoxelGrid VoxelGrid::from_cloud(const sim::PointCloud& cloud,
                                 const VoxelGridConfig& cfg,
                                 double ground_tolerance) {
   S2A_TRACE_SCOPE_CAT("lidar.voxelize", "lidar");
   VoxelGrid grid(cfg);
-  const std::size_t n = cloud.returns.size();
-  util::ThreadPool& pool = util::global_pool();
-  // effective_parallelism() (not pool.size()) so a pool oversubscribed
-  // onto fewer cores — e.g. S2A_THREADS=4 on a 1-core box — falls back
-  // to the serial path it can't beat.
-  if (util::effective_parallelism() <= 1 || n < kMinParallelReturns) {
-    bin_returns(cloud, cfg, ground_tolerance, 0, n, grid.occ_);
-    return grid;
-  }
-
-  // Shard the cloud into one chunk per pool slot; each chunk bins into
-  // its own local word bitmap, merged by bitwise OR afterwards. OR is
-  // commutative and idempotent, so occupancy is bit-exact at every
-  // thread count (merge order kept chunk-indexed anyway, for symmetry
-  // with the float reductions elsewhere).
-  const std::size_t grain =
-      (n + static_cast<std::size_t>(pool.size()) - 1) /
-      static_cast<std::size_t>(pool.size());
-  const std::size_t chunks = util::ThreadPool::num_chunks(0, n, grain);
-  const std::size_t words = (grid.occ_.size() + 63) / 64;
-  std::vector<std::uint64_t> locals(chunks * words, 0);
-  pool.parallel_for_chunks(
-      0, n, grain, [&](std::size_t lo, std::size_t hi, std::size_t c) {
-        S2A_TRACE_SCOPE_CAT("lidar.voxelize_shard", "lidar");
-        bin_returns_mask(cloud, cfg, ground_tolerance, lo, hi,
-                         locals.data() + c * words);
-      });
-  for (std::size_t c = 1; c < chunks; ++c)
-    for (std::size_t i = 0; i < words; ++i) locals[i] |= locals[c * words + i];
-  for (std::size_t i = 0; i < words; ++i) {
-    std::uint64_t word = locals[i];
-    while (word != 0) {
-      const int bit = std::countr_zero(word);
-      grid.occ_[i * 64 + static_cast<std::size_t>(bit)] = true;
-      word &= word - 1;
-    }
+  for (const auto& r : cloud.returns) {
+    if (!r.hit) continue;
+    if (r.point.z < cfg.z_min + ground_tolerance) continue;
+    const int ix =
+        static_cast<int>((r.point.x + cfg.extent) / (2.0 * cfg.extent) * cfg.nx);
+    const int iy =
+        static_cast<int>((r.point.y + cfg.extent) / (2.0 * cfg.extent) * cfg.ny);
+    const int iz = static_cast<int>((r.point.z - cfg.z_min) /
+                                    (cfg.z_max - cfg.z_min) * cfg.nz);
+    if (ix < 0 || ix >= cfg.nx || iy < 0 || iy >= cfg.ny || iz < 0 ||
+        iz >= cfg.nz)
+      continue;
+    grid.occ_[grid.index(ix, iy, iz)] = true;
   }
   return grid;
 }

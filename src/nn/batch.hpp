@@ -5,15 +5,16 @@
 // problem: stack B equally-shaped flat samples along a leading batch
 // axis, run the network once, and hand each tenant its row back. The
 // win is amortization — the conv kernels pack their weight panels once
-// per forward call (covering the whole batch) and shard their
-// (image, output-row) band space across the pool in one pass, instead
-// of paying the per-call fixed costs (packing, arena bookkeeping,
-// tensor allocation, pool dispatch) once per member.
+// per forward call (covering the whole batch) and spread whole images
+// across the pool in one pass, instead of paying the per-call fixed
+// costs (packing, arena bookkeeping, tensor allocation, pool dispatch)
+// once per member.
 //
 // Bit-exactness contract: row i of the batched output is bit-identical
 // to the B=1 forward of sample i, at every thread count. The conv
-// lowering guarantees this — batching only adds images to the band
-// space; no element's reduction chain is ever split or reordered.
+// lowering guarantees this — each image runs the same serial chains
+// whether it is alone or one of B; no element's reduction chain is ever
+// split or reordered.
 #pragma once
 
 #include <vector>

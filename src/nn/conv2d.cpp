@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <initializer_list>
 
 #include "nn/gemm.hpp"
@@ -19,54 +20,49 @@ namespace {
 
 std::atomic<ConvBackend> g_backend{ConvBackend::kAuto};
 
-// Forward passes below this many MACs run inline: pool dispatch would
-// cost more than the convolution itself.
-constexpr std::size_t kMinParallelMacs = 1 << 15;
-
-// Splits `total` units of independent work into chunks sized for the
-// global pool (~4 chunks per slot hides worker imbalance) and runs
-// fn(lo, hi, band_arena) over them, giving each chunk a private
-// ScratchArena slot for its im2col panel. Falls back to one inline call
-// (slot 0) when the work is too small or effective_parallelism() says
-// sharding cannot win — e.g. an S2A_THREADS override on a 1-core box.
-// fn must write disjoint outputs per unit so results are bit-exact at
-// every thread count.
-void parallel_bands(
-    std::size_t total, std::size_t macs, util::ScratchArena& arena,
-    const std::function<void(std::size_t, std::size_t, util::ScratchArena&)>&
-        fn) {
-  util::ThreadPool& pool = util::global_pool();
-  if (util::effective_parallelism() <= 1 || macs < kMinParallelMacs ||
-      total <= 1) {
-    arena.ensure_slots(1);
-    fn(0, total, arena.slot(0));
+// Runs fn(b, scratch) for every image b of an n-image forward. A single
+// image runs inline in `arena` itself (on top of the caller's packed
+// weights), so a one-sample forward never touches the pool. A batch
+// spreads whole images over the global pool, one chunk of images per
+// ScratchArena slot. Each image writes only its own slice of y with its
+// serial per-element chains, so results are bit-exact at every thread
+// count and for every batch composition.
+void for_each_image(
+    int n, util::ScratchArena& arena,
+    const std::function<void(int, util::ScratchArena&)>& fn) {
+  if (n == 1) {
+    fn(0, arena);
     return;
   }
-  const std::size_t grain = std::max<std::size_t>(
-      1, total / (static_cast<std::size_t>(pool.size()) * 4));
-  const std::size_t chunks = util::ThreadPool::num_chunks(0, total, grain);
-  arena.ensure_slots(chunks);
-  pool.parallel_for_chunks(0, total, grain,
-                           [&fn, &arena](std::size_t lo, std::size_t hi,
-                                         std::size_t c) {
-                             fn(lo, hi, arena.slot(c));
-                           });
+  util::ThreadPool& pool = util::global_pool();
+  const std::size_t images = static_cast<std::size_t>(n);
+  const std::size_t slots = static_cast<std::size_t>(pool.size());
+  const std::size_t grain =
+      std::max<std::size_t>(1, (images + slots - 1) / slots);
+  arena.ensure_slots(util::ThreadPool::num_chunks(0, images, grain));
+  pool.parallel_for_chunks(
+      0, images, grain,
+      [&fn, &arena](std::size_t lo, std::size_t hi, std::size_t c) {
+        util::ScratchArena& slot = arena.slot(c);
+        for (std::size_t b = lo; b < hi; ++b) {
+          slot.reset();
+          fn(static_cast<int>(b), slot);
+        }
+      });
 }
 
-// Row-sharded variant without arena slots, for the naive oracle loops.
-void parallel_rows(std::size_t total, std::size_t macs,
-                   const std::function<void(std::size_t, std::size_t)>& fn) {
-  util::ThreadPool& pool = util::global_pool();
-  if (util::effective_parallelism() <= 1 || macs < kMinParallelMacs ||
-      total <= 1) {
-    fn(0, total);
-    return;
-  }
-  const std::size_t grain = std::max<std::size_t>(
-      1, total / (static_cast<std::size_t>(pool.size()) * 4));
-  pool.parallel_for_chunks(
-      0, total, grain,
-      [&fn](std::size_t lo, std::size_t hi, std::size_t) { fn(lo, hi); });
+// The int8 forwards quantize their whole input once, into a copy in
+// `arena`, against ONE per-tensor scale (returned in xs). Gathering
+// codes equals quantizing gathered values — padding zeros are zero
+// codes — and each input value is quantized once instead of once per
+// tap that reads it.
+const double* quantized_input(const Tensor& x, util::ScratchArena& arena,
+                              double& xs) {
+  xs = activation_scale(x.data(), x.numel());
+  double* q = arena.alloc(x.numel());
+  std::copy_n(x.data(), x.numel(), q);
+  quantize_values(q, x.numel(), xs);
+  return q;
 }
 
 Tensor conv_weight_init(int c0, int c1, int k, Rng& rng) {
@@ -133,113 +129,69 @@ Tensor Conv2D::forward(const Tensor& x) {
   return y;
 }
 
-// im2col + blocked-GEMM path. The band space is the flattened
-// (image, output-row) grid — one parallel pass covers the whole batch,
-// so a batched forward (nn/batch.hpp, the fleet's cross-loop inference
-// path) shards across the batch axis instead of serializing per image.
-// Each band of output rows lowers its input patches into a private
-// column panel (band arena) and multiplies the packed weight panel —
-// packed ONCE per call, covering every image — against it, writing the
-// band's slice of y directly. Bands are disjoint in y and the GEMM
-// accumulates every element in ascending (ic, ky, kx) order — the naive
-// loop's order — so this is bit-exact vs. forward_naive, across thread
-// counts, and across batch compositions (the band split only changes
-// which elements go together).
+// im2col + blocked-GEMM path. The weight panel is packed ONCE per call
+// and shared by every image; each image lowers its input patches into a
+// column panel and multiplies the packed weights against it, writing
+// its slice of y directly. The GEMM accumulates every element in
+// ascending (ic, ky, kx) order — the naive loop's order — so this is
+// bit-exact vs. forward_naive, across thread counts, and across batch
+// compositions.
 void Conv2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h, int w,
                           int oh, int ow) {
   const int kdim = im2col_rows(cin_, k_);
-  const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
+  const int out_hw = oh * ow;
+  const std::size_t panel = static_cast<std::size_t>(kdim) * out_hw;
   arena_.reset();
-  // Int8 path (quantize() + S2A_QUANT=1): same lowering, but each band's
-  // column panel is quantized against ONE per-tensor activation scale —
-  // computed over the whole input, so the band split cannot change the
-  // quantization grid — and multiplied by the int8 weight snapshot.
-  // Integer accumulation is order-exact, so this path is deterministic
-  // across thread counts too.
+  // Int8 path (quantize() + S2A_QUANT=1): the same lowering over the
+  // quantized input, packed from the integer-valued weight snapshot
+  // (nn/quant.hpp).
   const bool int8 = quantized_ && quant_backend() == QuantBackend::kInt8;
-  const double xs = int8 ? activation_scale(x.data(), x.numel()) : 0.0;
-  double* wp = nullptr;
-  if (!int8) {
-    // Weights move between forwards during training, so repack per call —
-    // O(cout*cin*k^2), noise next to the GEMM itself.
-    wp = arena_.alloc(packed_a_size(cout_, kdim));
-    pack_a(w_.data(), kdim, cout_, kdim, wp);
-  }
+  double xs = 0.0;
+  const double* src = int8 ? quantized_input(x, arena_, xs) : x.data();
+  // Weights move between forwards during training, so repack per call —
+  // O(cout*cin*k^2), noise next to the GEMM itself.
+  double* wp = arena_.alloc(packed_a_size(cout_, kdim));
+  pack_a(int8 ? qw_.data.data() : w_.data(), kdim, cout_, kdim, wp);
 
-  const std::size_t macs = static_cast<std::size_t>(cout_) * kdim *
-                           static_cast<std::size_t>(n) * out_hw;
-  parallel_bands(
-      static_cast<std::size_t>(n) * oh, macs, arena_,
-      [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
-        band_arena.reset();
-        // A chunk may span image boundaries; split it at each one so the
-        // im2col/GEMM below always sees rows of a single image.
-        for (std::size_t u = lo; u < hi;) {
-          const int b = static_cast<int>(u / static_cast<std::size_t>(oh));
-          const int oy_lo = static_cast<int>(u % static_cast<std::size_t>(oh));
-          const int oy_hi = static_cast<int>(
-              std::min<std::size_t>(static_cast<std::size_t>(oh),
-                                    static_cast<std::size_t>(oy_lo) + (hi - u)));
-          const double* xb =
-              x.data() + static_cast<std::size_t>(b) * cin_ * h * w;
-          double* yb = y.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
-          const int width = (oy_hi - oy_lo) * ow;
-          double* col =
-              band_arena.alloc(static_cast<std::size_t>(kdim) * width);
-          im2col(xb, cin_, h, w, k_, stride_, pad_, ow, oy_lo, oy_hi, col);
-          double* cband = yb + static_cast<std::size_t>(oy_lo) * ow;
-          for (int oc = 0; oc < cout_; ++oc)
-            std::fill_n(cband + static_cast<std::size_t>(oc) * out_hw, width,
-                        b_[static_cast<std::size_t>(oc)]);
-          if (int8) {
-            const std::size_t count = static_cast<std::size_t>(kdim) * width;
-            std::int8_t* colq = alloc_int8(band_arena, count);
-            quantize_values(col, count, xs, colq);
-            gemm_int8(qw_, width, colq, width, xs, cband,
-                      static_cast<int>(out_hw));
-          } else {
-            gemm_packed(cout_, width, kdim, wp, col, width, cband,
-                        static_cast<int>(out_hw));
-          }
-          u += static_cast<std::size_t>(oy_hi - oy_lo);
-        }
-      });
+  for_each_image(n, arena_, [&](int b, util::ScratchArena& scratch) {
+    const double* xb = src + static_cast<std::size_t>(b) * cin_ * h * w;
+    double* yb = y.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
+    double* col = scratch.alloc(panel);
+    im2col(xb, cin_, h, w, k_, stride_, pad_, col);
+    for (int oc = 0; oc < cout_; ++oc)
+      std::fill_n(yb + static_cast<std::size_t>(oc) * out_hw, out_hw,
+                  b_[static_cast<std::size_t>(oc)]);
+    if (int8) {
+      gemm_quantized(cout_, out_hw, kdim, wp, qw_.scales.data(), col, out_hw,
+                     xs, yb, out_hw, scratch);
+    } else {
+      gemm_packed(cout_, out_hw, kdim, wp, col, out_hw, yb, out_hw);
+    }
+  });
 }
 
 // Direct-loop oracle (S2A_NAIVE_CONV=1): the original implementation,
 // kept verbatim so the kernel equivalence tests have a fixed reference.
 void Conv2D::forward_naive(const Tensor& x, Tensor& y, int n, int h, int w,
                            int oh, int ow) {
-  // Rows (b, oc, oy) are independent — each output element is produced by
-  // exactly one row, with a fixed inner summation order, so the sharded
-  // and serial passes are bit-identical.
-  const std::size_t total_rows = static_cast<std::size_t>(n) * cout_ * oh;
-  const std::size_t macs = static_cast<std::size_t>(cout_) * cin_ * k_ * k_ *
-                           static_cast<std::size_t>(n) * oh * ow;
-  parallel_rows(total_rows, macs, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t row = lo; row < hi; ++row) {
-      const int oy = static_cast<int>(row % static_cast<std::size_t>(oh));
-      const int oc = static_cast<int>((row / static_cast<std::size_t>(oh)) %
-                                      static_cast<std::size_t>(cout_));
-      const int b = static_cast<int>(row / static_cast<std::size_t>(oh) /
-                                     static_cast<std::size_t>(cout_));
-      for (int ox = 0; ox < ow; ++ox) {
-        double acc = b_[static_cast<std::size_t>(oc)];
-        for (int ic = 0; ic < cin_; ++ic)
-          for (int ky = 0; ky < k_; ++ky) {
-            const int iy = oy * stride_ + ky - pad_;
-            if (iy < 0 || iy >= h) continue;
-            for (int kx = 0; kx < k_; ++kx) {
-              const int ix = ox * stride_ + kx - pad_;
-              if (ix < 0 || ix >= w) continue;
-              acc += x[idx4(b, ic, iy, ix, cin_, h, w)] *
-                     w_[idx4(oc, ic, ky, kx, cin_, k_, k_)];
+  for (int b = 0; b < n; ++b)
+    for (int oc = 0; oc < cout_; ++oc)
+      for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox) {
+          double acc = b_[static_cast<std::size_t>(oc)];
+          for (int ic = 0; ic < cin_; ++ic)
+            for (int ky = 0; ky < k_; ++ky) {
+              const int iy = oy * stride_ + ky - pad_;
+              if (iy < 0 || iy >= h) continue;
+              for (int kx = 0; kx < k_; ++kx) {
+                const int ix = ox * stride_ + kx - pad_;
+                if (ix < 0 || ix >= w) continue;
+                acc += x[idx4(b, ic, iy, ix, cin_, h, w)] *
+                       w_[idx4(oc, ic, ky, kx, cin_, k_, k_)];
+              }
             }
-          }
-        y[idx4(b, oc, oy, ox, cout_, oh, ow)] = acc;
-      }
-    }
-  });
+          y[idx4(b, oc, oy, ox, cout_, oh, ow)] = acc;
+        }
 }
 
 Tensor Conv2D::backward(const Tensor& grad_out) {
@@ -333,29 +285,23 @@ void Conv2D::backward_naive(const Tensor& grad_out, Tensor& dx, int n, int h,
 //   gW += G_b x im2col(x_b)ᵀ   (reduction over output pixels, ascending)
 //   dcol = Wᵀ x G_b ; dx_b = col2im(dcol)   (per-tap oc-sums, folded in
 //                                            (ky, kx) order)
-// Sharding keeps every gradient element's complete reduction chain
-// inside one task — im2col_t bands write disjoint rows, the gW/dcol
-// GEMMs are striped over *columns* (never over the reduction axis), and
-// col2im_band splits by input row — so results are bit-identical to
-// backward_naive at every thread count.
+// Every gradient element's chain matches backward_naive's, so the two
+// backends are bit-identical.
 void Conv2D::backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
                            int w, int oh, int ow) {
   const int kdim = im2col_rows(cin_, k_);
-  const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
+  const int out_hw = oh * ow;
   const std::size_t in_hw = static_cast<std::size_t>(h) * w;
+  const std::size_t panel = static_cast<std::size_t>(kdim) * out_hw;
   arena_.reset();
-  // Root allocations happen on the calling thread before any parallel
-  // section; tasks only read them (or write disjoint slices).
   double* wt = arena_.alloc(static_cast<std::size_t>(kdim) * cout_);
   transpose(w_.data(), cout_, kdim, wt);
   double* wtp = arena_.alloc(packed_a_size(kdim, cout_));
   pack_a(wt, cout_, kdim, cout_, wtp);
-  double* colt = arena_.alloc(out_hw * static_cast<std::size_t>(kdim));
-  double* gpk = arena_.alloc(packed_a_size(cout_, static_cast<int>(out_hw)));
-  double* dcol = arena_.alloc(static_cast<std::size_t>(kdim) * out_hw);
+  double* colt = arena_.alloc(panel);
+  double* gpk = arena_.alloc(packed_a_size(cout_, out_hw));
+  double* dcol = arena_.alloc(panel);
 
-  const std::size_t macs = static_cast<std::size_t>(cout_) * kdim *
-                           static_cast<std::size_t>(n) * out_hw;
   for (int b = 0; b < n; ++b) {
     const double* gb =
         grad_out.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
@@ -363,44 +309,18 @@ void Conv2D::backward_gemm(const Tensor& grad_out, Tensor& dx, int n, int h,
         last_x_.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
     double* dxb = dx.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
 
-    // im2col(x_b)ᵀ: bands of output rows write disjoint row ranges.
-    parallel_rows(static_cast<std::size_t>(oh), macs,
-                  [&](std::size_t lo, std::size_t hi) {
-                    im2col_t(xb, cin_, h, w, k_, stride_, pad_, ow,
-                             static_cast<int>(lo), static_cast<int>(hi),
-                             colt + lo * ow * kdim);
-                  });
+    // gW += G_b x im2col(x_b)ᵀ: each element's per-image reduction runs
+    // over output pixels in ascending order.
+    im2col_t(xb, cin_, h, w, k_, stride_, pad_, colt);
+    pack_a(gb, out_hw, cout_, out_hw, gpk);
+    gemm_packed(cout_, kdim, out_hw, gpk, colt, kdim, gw_.data(), kdim);
 
-    // gW += G_b x colt, striped over gW columns: each element's whole
-    // per-image reduction (ascending output pixels) runs in one stripe.
-    pack_a(gb, static_cast<int>(out_hw), cout_, static_cast<int>(out_hw),
-           gpk);
-    parallel_rows(static_cast<std::size_t>(kdim), macs,
-                  [&](std::size_t lo, std::size_t hi) {
-                    gemm_packed(cout_, static_cast<int>(hi - lo),
-                                static_cast<int>(out_hw), gpk, colt + lo,
-                                kdim, gw_.data() + lo, kdim);
-                  });
-
-    // dcol = Wᵀ x G_b, striped over output pixels (zero-init per stripe
-    // so each element's oc-reduction starts from 0 like the oracle's t).
-    parallel_rows(out_hw, macs, [&](std::size_t lo, std::size_t hi) {
-      for (int r = 0; r < kdim; ++r)
-        std::fill_n(dcol + static_cast<std::size_t>(r) * out_hw + lo, hi - lo,
-                    0.0);
-      gemm_packed(kdim, static_cast<int>(hi - lo), cout_, wtp, gb + lo,
-                  static_cast<int>(out_hw), dcol + lo,
-                  static_cast<int>(out_hw));
-    });
-
-    // Fold dcol onto dx_b, banded over input rows: each dx element gets
-    // all of its (ky, kx) addends inside one band.
-    parallel_rows(static_cast<std::size_t>(h), macs,
-                  [&](std::size_t lo, std::size_t hi) {
-                    col2im_band(dcol, cin_, h, w, k_, stride_, pad_, ow,
-                                static_cast<int>(lo), static_cast<int>(hi),
-                                dxb);
-                  });
+    // dcol = Wᵀ x G_b from zero, so each element's oc-reduction starts
+    // from 0 like the oracle's t; col2im then adds each dx element's
+    // (ky, kx) addends in order.
+    std::fill_n(dcol, panel, 0.0);
+    gemm_packed(kdim, out_hw, cout_, wtp, gb, out_hw, dcol, out_hw);
+    col2im(dcol, cin_, h, w, k_, stride_, pad_, dxb);
   }
 }
 
@@ -513,42 +433,38 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
   const int s = stride_;
   arena_.reset();
-  // Int8 path: the per-phase weight matrices were snapshotted by
-  // quantize(); each phase's column panel is quantized against the one
-  // whole-input activation scale (band-invariant) before its compact
-  // int8 GEMM.
+  // Int8 path: the phases gather from the quantized input and pack the
+  // integer-valued weight snapshots from quantize() (nn/quant.hpp).
   const bool int8 = quantized_ && quant_backend() == QuantBackend::kInt8;
-  const double xs = int8 ? activation_scale(x.data(), x.numel()) : 0.0;
+  double xs = 0.0;
+  const double* src = int8 ? quantized_input(x, arena_, xs) : x.data();
 
   // Packed weight panel per (py, px) phase pair, rebuilt every call
   // because weights move between forwards during training.
-  if (!int8)
-    for (int py = 0; py < s; ++py)
-      for (int px = 0; px < s; ++px) {
-        double*& wp = phase_wp_[static_cast<std::size_t>(py) * s + px];
-        const int kdim = phase_kdim(py, px);
-        wp = nullptr;
-        if (kdim == 0) continue;
-        wp = arena_.alloc(packed_a_size(cout_, kdim));
-        pack_phase_weights(py, px, gemm_mr(), wp);
-      }
+  for (int py = 0; py < s; ++py)
+    for (int px = 0; px < s; ++px) {
+      const std::size_t p = static_cast<std::size_t>(py) * s + px;
+      const int kdim = phase_kdim(py, px);
+      phase_wp_[p] = nullptr;
+      if (kdim == 0) continue;
+      phase_wp_[p] = arena_.alloc(packed_a_size(cout_, kdim));
+      if (int8)
+        pack_a(qw_ph_[p].data.data(), kdim, cout_, kdim, phase_wp_[p]);
+      else
+        pack_phase_weights(py, px, gemm_mr(), phase_wp_[p]);
+    }
 
-  // One band of one image: every phase subgrid intersecting output rows
-  // [oy_lo, oy_hi) of image b gets its compact GEMM. Extracted so the
-  // cross-image band pass below can split a chunk at image boundaries.
-  const auto run_band = [&](int b, int oy_lo, int oy_hi,
-                            util::ScratchArena& band_arena) {
-    const double* xb = x.data() + static_cast<std::size_t>(b) * cin_ * h * w;
+  // Every phase subgrid of image b gets its compact GEMM.
+  for_each_image(n, arena_, [&](int b, util::ScratchArena& scratch) {
+    const double* xb = src + static_cast<std::size_t>(b) * cin_ * h * w;
     double* yb = y.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
     for (int py = 0; py < s; ++py)
       for (int px = 0; px < s; ++px) {
-        // This phase's output subgrid within the band: rows
-        // oy0, oy0+s, ... and columns ox0, ox0+s, ...
-        int oy0 = oy_lo;
-        while (oy0 < oy_hi && (oy0 + pad_) % s != py) ++oy0;
-        const int ny = oy0 < oy_hi ? (oy_hi - oy0 + s - 1) / s : 0;
-        const int ox0_raw = (px - pad_) % s;
-        const int ox0 = ox0_raw < 0 ? ox0_raw + s : ox0_raw;
+        // This phase's output subgrid: rows oy0, oy0+s, ... and columns
+        // ox0, ox0+s, ..., the first with (o + pad) % s == phase.
+        const int oy0 = ((py - pad_) % s + s) % s;
+        const int ox0 = ((px - pad_) % s + s) % s;
+        const int ny = oy0 < oh ? (oh - oy0 + s - 1) / s : 0;
         const int nx = ox0 < ow ? (ow - ox0 + s - 1) / s : 0;
         if (ny == 0 || nx == 0) continue;
 
@@ -570,7 +486,8 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
         const int* kys = taps(py);
         const int* kxs = taps(px);
         const int nky = num_taps(py), nkx = num_taps(px);
-        double* col = band_arena.alloc(static_cast<std::size_t>(kdim) * nph);
+        const std::size_t panel = static_cast<std::size_t>(kdim) * nph;
+        double* col = scratch.alloc(panel);
         double* row = col;
         for (int ic = 0; ic < cin_; ++ic) {
           const double* plane = xb + static_cast<std::size_t>(ic) * h * w;
@@ -600,20 +517,17 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
           }
         }
 
-        double* tile = band_arena.alloc(static_cast<std::size_t>(cout_) * nph);
+        const std::size_t p = static_cast<std::size_t>(py) * s + px;
+        double* tile = scratch.alloc(static_cast<std::size_t>(cout_) * nph);
         for (int oc = 0; oc < cout_; ++oc)
           std::fill_n(tile + static_cast<std::size_t>(oc) * nph, nph,
                       b_[static_cast<std::size_t>(oc)]);
         if (int8) {
-          const std::size_t count = static_cast<std::size_t>(kdim) * nph;
-          std::int8_t* colq = alloc_int8(band_arena, count);
-          quantize_values(col, count, xs, colq);
-          gemm_int8(qw_ph_[static_cast<std::size_t>(py) * s + px], nph, colq,
-                    nph, xs, tile, nph);
+          gemm_quantized(cout_, nph, kdim, phase_wp_[p],
+                         qw_ph_[p].scales.data(), col, nph, xs, tile, nph,
+                         scratch);
         } else {
-          gemm_packed(cout_, nph, kdim,
-                      phase_wp_[static_cast<std::size_t>(py) * s + px], col,
-                      nph, tile, nph);
+          gemm_packed(cout_, nph, kdim, phase_wp_[p], col, nph, tile, nph);
         }
         for (int oc = 0; oc < cout_; ++oc) {
           const double* trow = tile + static_cast<std::size_t>(oc) * nph;
@@ -625,73 +539,39 @@ void ConvTranspose2D::forward_gemm(const Tensor& x, Tensor& y, int n, int h,
           }
         }
       }
-  };
-
-  // Band space is the flattened (image, output-row) grid, so a batched
-  // forward shards across the batch axis in one pass (see
-  // Conv2D::forward_gemm for the bit-exactness argument).
-  const std::size_t macs = static_cast<std::size_t>(cin_) * cout_ * k_ * k_ *
-                           static_cast<std::size_t>(n) * h * w;
-  parallel_bands(
-      static_cast<std::size_t>(n) * oh, macs, arena_,
-      [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
-        band_arena.reset();
-        for (std::size_t u = lo; u < hi;) {
-          const int b = static_cast<int>(u / static_cast<std::size_t>(oh));
-          const int oy_lo = static_cast<int>(u % static_cast<std::size_t>(oh));
-          const int oy_hi = static_cast<int>(
-              std::min<std::size_t>(static_cast<std::size_t>(oh),
-                                    static_cast<std::size_t>(oy_lo) + (hi - u)));
-          run_band(b, oy_lo, oy_hi, band_arena);
-          u += static_cast<std::size_t>(oy_hi - oy_lo);
-        }
-      });
+  });
 }
 
 // Direct scatter oracle (S2A_NAIVE_CONV=1): the original implementation.
+// Each output element starts from its bias and accumulates its addends
+// in (ic, iy, ix) order.
 void ConvTranspose2D::forward_naive(const Tensor& x, Tensor& y, int n, int h,
                                     int w, int oh, int ow) {
-  // Sharded over bands of output rows: each band scatters only from the
-  // input rows that can reach it (iy such that iy*stride + ky - pad lands
-  // in [lo, hi)) and skips contributions outside its band, so every
-  // output element is written by exactly one task with the same
-  // accumulation order (b, ic, iy, ix) as a serial pass.
-  const std::size_t macs = static_cast<std::size_t>(cin_) * cout_ * k_ * k_ *
-                           static_cast<std::size_t>(n) * h * w;
-  parallel_rows(
-      static_cast<std::size_t>(oh), macs,
-      [&](std::size_t band_lo, std::size_t band_hi) {
-        const int lo = static_cast<int>(band_lo);
-        const int hi = static_cast<int>(band_hi);
-        for (int b = 0; b < n; ++b)
-          for (int oc = 0; oc < cout_; ++oc)
-            for (int oy = lo; oy < hi; ++oy)
-              for (int ox = 0; ox < ow; ++ox)
-                y[idx4(b, oc, oy, ox, cout_, oh, ow)] =
-                    b_[static_cast<std::size_t>(oc)];
+  for (int b = 0; b < n; ++b)
+    for (int oc = 0; oc < cout_; ++oc)
+      for (int oy = 0; oy < oh; ++oy)
+        for (int ox = 0; ox < ow; ++ox)
+          y[idx4(b, oc, oy, ox, cout_, oh, ow)] =
+              b_[static_cast<std::size_t>(oc)];
 
-        const int lo_num = lo + pad_ - (k_ - 1);
-        const int iy_lo = lo_num > 0 ? (lo_num + stride_ - 1) / stride_ : 0;
-        const int iy_hi = std::min(h - 1, (hi - 1 + pad_) / stride_);
-        for (int b = 0; b < n; ++b)
-          for (int ic = 0; ic < cin_; ++ic)
-            for (int iy = iy_lo; iy <= iy_hi; ++iy)
-              for (int ix = 0; ix < w; ++ix) {
-                const double v = x[idx4(b, ic, iy, ix, cin_, h, w)];
-                if (v == 0.0) continue;
-                for (int oc = 0; oc < cout_; ++oc)
-                  for (int ky = 0; ky < k_; ++ky) {
-                    const int oy = iy * stride_ + ky - pad_;
-                    if (oy < lo || oy >= hi) continue;
-                    for (int kx = 0; kx < k_; ++kx) {
-                      const int ox = ix * stride_ + kx - pad_;
-                      if (ox < 0 || ox >= ow) continue;
-                      y[idx4(b, oc, oy, ox, cout_, oh, ow)] +=
-                          v * w_[idx4(ic, oc, ky, kx, cout_, k_, k_)];
-                    }
-                  }
+  for (int b = 0; b < n; ++b)
+    for (int ic = 0; ic < cin_; ++ic)
+      for (int iy = 0; iy < h; ++iy)
+        for (int ix = 0; ix < w; ++ix) {
+          const double v = x[idx4(b, ic, iy, ix, cin_, h, w)];
+          if (v == 0.0) continue;
+          for (int oc = 0; oc < cout_; ++oc)
+            for (int ky = 0; ky < k_; ++ky) {
+              const int oy = iy * stride_ + ky - pad_;
+              if (oy < 0 || oy >= oh) continue;
+              for (int kx = 0; kx < k_; ++kx) {
+                const int ox = ix * stride_ + kx - pad_;
+                if (ox < 0 || ox >= ow) continue;
+                y[idx4(b, oc, oy, ox, cout_, oh, ow)] +=
+                    v * w_[idx4(ic, oc, ky, kx, cout_, k_, k_)];
               }
-      });
+            }
+        }
 }
 
 Tensor ConvTranspose2D::backward(const Tensor& grad_out) {
@@ -760,24 +640,25 @@ void ConvTranspose2D::backward_naive(const Tensor& grad_out, Tensor& dx,
 // phase decomposition is needed — unlike the forward there are no
 // structural zeros to skip. Per image:
 //   gW += X_b x im2col(G_b)ᵀ   (reduction over input pixels, ascending)
-//   dx_b = W x im2col(G_b)      (banded over input rows, like a forward)
-// Same sharding rules as Conv2D::backward_gemm, so bit-identical to the
-// oracle at every thread count.
+//   dx_b = W x im2col(G_b)      (dx is zero-init, so each element's
+//                                chain starts from 0 like the oracle's)
+// Every chain matches backward_naive's, so the backends are
+// bit-identical.
 void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
                                     int n, int h, int w, int oh, int ow) {
   const int kdim = im2col_rows(cout_, k_);
   const std::size_t out_hw = static_cast<std::size_t>(oh) * ow;
-  const std::size_t in_hw = static_cast<std::size_t>(h) * w;
+  const int in_hw = h * w;
+  const std::size_t panel = static_cast<std::size_t>(kdim) * in_hw;
   arena_.reset();
   // w_ is [Cin, Cout, k, k] row-major — already the [cin, kdim] A matrix
   // of the adjoint convolution; no transpose needed.
   double* wp = arena_.alloc(packed_a_size(cin_, kdim));
   pack_a(w_.data(), kdim, cin_, kdim, wp);
-  double* colt = arena_.alloc(in_hw * static_cast<std::size_t>(kdim));
-  double* xpk = arena_.alloc(packed_a_size(cin_, static_cast<int>(in_hw)));
+  double* colt = arena_.alloc(panel);
+  double* xpk = arena_.alloc(packed_a_size(cin_, in_hw));
+  double* col = arena_.alloc(panel);
 
-  const std::size_t macs = static_cast<std::size_t>(cin_) * kdim *
-                           static_cast<std::size_t>(n) * in_hw;
   for (int b = 0; b < n; ++b) {
     const double* gb =
         grad_out.data() + static_cast<std::size_t>(b) * cout_ * out_hw;
@@ -786,39 +667,13 @@ void ConvTranspose2D::backward_gemm(const Tensor& grad_out, Tensor& dx,
     double* dxb = dx.data() + static_cast<std::size_t>(b) * cin_ * in_hw;
 
     // im2col(G_b)ᵀ over the adjoint-conv geometry: its "output" pixels
-    // are the deconv's input pixels, so bands split input rows.
-    parallel_rows(static_cast<std::size_t>(h), macs,
-                  [&](std::size_t lo, std::size_t hi) {
-                    im2col_t(gb, cout_, oh, ow, k_, stride_, pad_, w,
-                             static_cast<int>(lo), static_cast<int>(hi),
-                             colt + lo * w * kdim);
-                  });
+    // are the deconv's input pixels.
+    im2col_t(gb, cout_, oh, ow, k_, stride_, pad_, colt);
+    pack_a(xb, in_hw, cin_, in_hw, xpk);
+    gemm_packed(cin_, kdim, in_hw, xpk, colt, kdim, gw_.data(), kdim);
 
-    // gW += X_b x colt, striped over gW columns.
-    pack_a(xb, static_cast<int>(in_hw), cin_, static_cast<int>(in_hw), xpk);
-    parallel_rows(static_cast<std::size_t>(kdim), macs,
-                  [&](std::size_t lo, std::size_t hi) {
-                    gemm_packed(cin_, static_cast<int>(hi - lo),
-                                static_cast<int>(in_hw), xpk, colt + lo,
-                                kdim, gw_.data() + lo, kdim);
-                  });
-
-    // dx_b = W x im2col(G_b), banded over input rows with per-band
-    // column panels (mirrors Conv2D::forward_gemm; dx is zero-init so
-    // each element's chain starts from 0 like the oracle's acc).
-    parallel_bands(
-        static_cast<std::size_t>(h), macs, arena_,
-        [&](std::size_t lo, std::size_t hi, util::ScratchArena& band_arena) {
-          const int iy_lo = static_cast<int>(lo), iy_hi = static_cast<int>(hi);
-          const int width = (iy_hi - iy_lo) * w;
-          band_arena.reset();
-          double* col =
-              band_arena.alloc(static_cast<std::size_t>(kdim) * width);
-          im2col(gb, cout_, oh, ow, k_, stride_, pad_, w, iy_lo, iy_hi, col);
-          gemm_packed(cin_, width, kdim, wp, col, width,
-                      dxb + static_cast<std::size_t>(iy_lo) * w,
-                      static_cast<int>(in_hw));
-        });
+    im2col(gb, cout_, oh, ow, k_, stride_, pad_, col);
+    gemm_packed(cin_, in_hw, kdim, wp, col, in_hw, dxb, in_hw);
   }
 }
 

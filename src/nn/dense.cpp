@@ -30,33 +30,30 @@ Tensor Dense::forward(const Tensor& x) {
   last_x_ = x;
   const int n = x.dim(0);
   Tensor y({n, out_});
-  if (quantized_ && quant_backend() == QuantBackend::kInt8) {
-    // Int8 path: same yᵀ = W·xᵀ framing as the gemm path, but with the
-    // int8 weight snapshot and a per-tensor activation scale. The int32
-    // accumulation is order-exact; the result differs from float only
-    // by the quantization grid.
-    arena_.reset();
-    double* xt = arena_.alloc(static_cast<std::size_t>(in_) * n);
-    transpose(x.data(), n, in_, xt);
-    const double xs = activation_scale(x.data(), x.numel());
-    std::int8_t* xtq = alloc_int8(arena_, static_cast<std::size_t>(in_) * n);
-    quantize_values(xt, static_cast<std::size_t>(in_) * n, xs, xtq);
-    double* yt = arena_.alloc(static_cast<std::size_t>(out_) * n);
-    std::fill_n(yt, static_cast<std::size_t>(out_) * n, 0.0);
-    gemm_int8(qw_, n, xtq, n, xs, yt, n);
-    transpose(yt, out_, n, y.data());
-  } else if (conv_backend() == ConvBackend::kNaive) {
+  const bool int8 = quantized_ && quant_backend() == QuantBackend::kInt8;
+  if (conv_backend() == ConvBackend::kNaive && !int8) {
     y = matmul_nt(x, w_);
   } else {
     arena_.reset();
-    // A = W [out, in] (reduction axis already contiguous), B = xᵀ.
+    // A = W [out, in] (reduction axis already contiguous), B = xᵀ. The
+    // int8 path packs the integer-valued weight snapshot instead and
+    // quantizes xᵀ in place against one per-tensor activation scale
+    // (nn/quant.hpp); the result differs from float only by the
+    // quantization grid.
     double* xt = arena_.alloc(static_cast<std::size_t>(in_) * n);
     transpose(x.data(), n, in_, xt);
     double* yt = arena_.alloc(static_cast<std::size_t>(out_) * n);
     std::fill_n(yt, static_cast<std::size_t>(out_) * n, 0.0);
     double* wp = arena_.alloc(packed_a_size(out_, in_));
-    pack_a(w_.data(), in_, out_, in_, wp);
-    gemm_packed(out_, n, in_, wp, xt, n, yt, n);
+    pack_a(int8 ? qw_.data.data() : w_.data(), in_, out_, in_, wp);
+    if (int8) {
+      const double xs = activation_scale(x.data(), x.numel());
+      quantize_values(xt, static_cast<std::size_t>(in_) * n, xs);
+      gemm_quantized(out_, n, in_, wp, qw_.scales.data(), xt, n, xs, yt, n,
+                     arena_);
+    } else {
+      gemm_packed(out_, n, in_, wp, xt, n, yt, n);
+    }
     transpose(yt, out_, n, y.data());
   }
   if (has_bias_) {

@@ -6,8 +6,9 @@
 namespace s2a::nn {
 
 void im2col(const double* x, int cin, int h, int w, int k, int stride,
-            int pad, int ow, int oy_lo, int oy_hi, double* col) {
-  const int band = oy_hi - oy_lo;
+            int pad, double* col) {
+  const int oh = conv_out_size(h, k, stride, pad);
+  const int ow = conv_out_size(w, k, stride, pad);
   double* out = col;
   for (int ic = 0; ic < cin; ++ic) {
     const double* plane = x + static_cast<std::size_t>(ic) * h * w;
@@ -22,10 +23,10 @@ void im2col(const double* x, int cin, int h, int w, int k, int stride,
             std::min(ow, ix0 >= 0 ? 0 : (stride - 1 - ix0) / stride);
         const int ox_hi = std::max(
             ox_lo, std::min(ow, w > ix0 ? (w - ix0 + stride - 1) / stride : 0));
-        // One lowered row: tap (ic, ky, kx) for every output pixel in
-        // the band, in (oy, ox) order.
-        for (int oy = oy_lo; oy < oy_hi; ++oy) {
-          double* row = out + static_cast<std::size_t>(oy - oy_lo) * ow;
+        // One lowered row: tap (ic, ky, kx) for every output pixel, in
+        // (oy, ox) order.
+        for (int oy = 0; oy < oh; ++oy) {
+          double* row = out + static_cast<std::size_t>(oy) * ow;
           const int iy = oy * stride + ky - pad;
           if (iy < 0 || iy >= h) {
             std::memset(row, 0, sizeof(double) * static_cast<std::size_t>(ow));
@@ -44,21 +45,22 @@ void im2col(const double* x, int cin, int h, int w, int k, int stride,
           }
           std::fill(row + ox_hi, row + ow, 0.0);
         }
-        out += static_cast<std::size_t>(band) * ow;
+        out += static_cast<std::size_t>(oh) * ow;
       }
   }
 }
 
 void col2im(const double* col, int cin, int h, int w, int k, int stride,
-            int pad, int ow, int oy_lo, int oy_hi, double* x) {
-  const int band = oy_hi - oy_lo;
+            int pad, double* x) {
+  const int oh = conv_out_size(h, k, stride, pad);
+  const int ow = conv_out_size(w, k, stride, pad);
   const double* in = col;
   for (int ic = 0; ic < cin; ++ic) {
     double* plane = x + static_cast<std::size_t>(ic) * h * w;
     for (int ky = 0; ky < k; ++ky)
       for (int kx = 0; kx < k; ++kx) {
-        for (int oy = oy_lo; oy < oy_hi; ++oy) {
-          const double* row = in + static_cast<std::size_t>(oy - oy_lo) * ow;
+        for (int oy = 0; oy < oh; ++oy) {
+          const double* row = in + static_cast<std::size_t>(oy) * ow;
           const int iy = oy * stride + ky - pad;
           if (iy < 0 || iy >= h) continue;
           double* dst = plane + static_cast<std::size_t>(iy) * w;
@@ -68,15 +70,17 @@ void col2im(const double* col, int cin, int h, int w, int k, int stride,
             dst[ix] += row[ox];
           }
         }
-        in += static_cast<std::size_t>(band) * ow;
+        in += static_cast<std::size_t>(oh) * ow;
       }
   }
 }
 
 void im2col_t(const double* x, int cin, int h, int w, int k, int stride,
-              int pad, int ow, int oy_lo, int oy_hi, double* colt) {
+              int pad, double* colt) {
+  const int oh = conv_out_size(h, k, stride, pad);
+  const int ow = conv_out_size(w, k, stride, pad);
   double* row = colt;
-  for (int oy = oy_lo; oy < oy_hi; ++oy)
+  for (int oy = 0; oy < oh; ++oy)
     for (int ox = 0; ox < ow; ++ox) {
       // One lowered row: every tap output pixel (oy, ox) reads, walked
       // in the naive accumulation order (ic, ky, kx).
@@ -100,35 +104,6 @@ void im2col_t(const double* x, int cin, int h, int w, int k, int stride,
       }
       row += static_cast<std::size_t>(cin) * k * k;
     }
-}
-
-void col2im_band(const double* col, int cin, int h, int w, int k, int stride,
-                 int pad, int ow, int iy_lo, int iy_hi, double* x) {
-  const int oh = (h + 2 * pad - k) / stride + 1;
-  const double* in = col;
-  for (int ic = 0; ic < cin; ++ic) {
-    double* plane = x + static_cast<std::size_t>(ic) * h * w;
-    for (int ky = 0; ky < k; ++ky)
-      for (int kx = 0; kx < k; ++kx) {
-        // Output rows whose tap (ky, kx) lands inside [iy_lo, iy_hi):
-        // iy = oy*stride + ky - pad, so oy spans a contiguous range.
-        const int num_lo = iy_lo + pad - ky;
-        const int oy_begin = num_lo > 0 ? (num_lo + stride - 1) / stride : 0;
-        const int num_hi = iy_hi - 1 + pad - ky;
-        const int oy_end = num_hi >= 0 ? std::min(oh - 1, num_hi / stride) : -1;
-        for (int oy = oy_begin; oy <= oy_end; ++oy) {
-          const double* row = in + static_cast<std::size_t>(oy) * ow;
-          const int iy = oy * stride + ky - pad;
-          double* dst = plane + static_cast<std::size_t>(iy) * w;
-          for (int ox = 0; ox < ow; ++ox) {
-            const int ix = ox * stride + kx - pad;
-            if (ix < 0 || ix >= w) continue;
-            dst[ix] += row[ox];
-          }
-        }
-        in += static_cast<std::size_t>(oh) * ow;
-      }
-  }
 }
 
 }  // namespace s2a::nn

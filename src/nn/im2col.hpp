@@ -12,10 +12,6 @@
 // and the taps phase-split by stride; that lowering is specialised
 // enough (dense per-phase tap lists, compact output tiles) that it
 // lives with its only caller in conv2d.cpp rather than here.
-//
-// Both functions operate on a horizontal band of output rows
-// [oy_lo, oy_hi): the pool-sharded conv forwards give each task its own
-// band (and its own ScratchArena slot to hold it).
 #pragma once
 
 namespace s2a::nn {
@@ -23,38 +19,32 @@ namespace s2a::nn {
 /// Lowered-matrix row count for a (cin, k) convolution.
 inline int im2col_rows(int cin, int k) { return cin * k * k; }
 
-/// Writes the im2col matrix for output rows [oy_lo, oy_hi) of a direct
-/// convolution over x (one image, [cin, h, w] row-major): col is
-/// [cin*k*k, (oy_hi-oy_lo)*ow] row-major.
+/// Output size of a direct convolution along one axis.
+inline int conv_out_size(int in, int k, int stride, int pad) {
+  return (in + 2 * pad - k) / stride + 1;
+}
+
+/// Writes the im2col matrix of a direct convolution over x (one image,
+/// [cin, h, w] row-major): col is [cin*k*k, oh*ow] row-major, with
+/// oh/ow from conv_out_size.
 void im2col(const double* x, int cin, int h, int w, int k, int stride,
-            int pad, int ow, int oy_lo, int oy_hi, double* col);
+            int pad, double* col);
 
 /// Adjoint of im2col: scatters col (layout as above) back onto x,
 /// *accumulating* into it — each input pixel receives one addend per
-/// output pixel that reads it. col2im(im2col(x)) therefore multiplies
-/// every pixel by its read count; the kernel tests rely on that
-/// identity, and conv backward can use it to fold gradient columns.
+/// output pixel that reads it, in (ic, ky, kx) order. col2im(im2col(x))
+/// therefore multiplies every pixel by its read count; the kernel tests
+/// rely on that identity, and Conv2D's backward folds its input-gradient
+/// columns with it.
 void col2im(const double* col, int cin, int h, int w, int k, int stride,
-            int pad, int ow, int oy_lo, int oy_hi, double* x);
+            int pad, double* x);
 
-/// Transposed im2col for the weight-gradient GEMMs: writes the band's
-/// rows of im2col(x)ᵀ — row j is output pixel j's taps in (ic, ky, kx)
-/// order, so colt is [(oy_hi-oy_lo)*ow, cin*k*k] row-major. Used as the
-/// B operand of gW += grad_out × im2col(x)ᵀ, whose reduction then runs
-/// over output pixels in ascending (oy, ox) order — the naive
-/// accumulation order. Bands write disjoint row ranges of the full
-/// matrix (pass colt + oy_lo*ow*cin*k*k when assembling one).
+/// Transposed im2col for the weight-gradient GEMMs: row j is output
+/// pixel j's taps in (ic, ky, kx) order, so colt is [oh*ow, cin*k*k]
+/// row-major. Used as the B operand of gW += grad_out × im2col(x)ᵀ,
+/// whose reduction then runs over output pixels in ascending (oy, ox)
+/// order — the naive accumulation order.
 void im2col_t(const double* x, int cin, int h, int w, int k, int stride,
-              int pad, int ow, int oy_lo, int oy_hi, double* colt);
-
-/// Band-restricted col2im for the pool-sharded input-gradient scatter:
-/// col is the FULL [cin*k*k, oh*ow] matrix, but only input rows
-/// [iy_lo, iy_hi) of x are accumulated into — each (ky, kx) row visits
-/// just the output rows that land in the band. Covering [0, h) with
-/// disjoint bands reproduces col2im(col, ..., 0, oh, x) bit-for-bit:
-/// each x element's addends arrive in the same (ic, ky, kx, oy, ox)
-/// order, the bands merely split *which elements* each call touches.
-void col2im_band(const double* col, int cin, int h, int w, int k, int stride,
-                 int pad, int ow, int iy_lo, int iy_hi, double* x);
+              int pad, double* colt);
 
 }  // namespace s2a::nn

@@ -3,16 +3,24 @@
 // Scheme: per-output-row symmetric weight scales (scale_i =
 // max|row_i| / 127, so every weight maps to [-127, 127] with zero
 // exactly representable) and one per-tensor symmetric activation scale.
-// The int8 GEMM accumulates w_q * x_q products in int32 — integer
-// addition is associative, so unlike the float path the accumulation
-// order is free and the scalar and AVX2 int8 kernels are *exactly*
-// equal, at every thread count. The int32 sum is dequantized in one
-// step, `c[i][j] += scales[i] * x_scale * acc`, on top of the caller's
-// bias-seeded C, mirroring the float GEMM's contract.
 //
-// Overflow headroom: each product is at most 127*127 < 2^14, so the
-// int32 accumulator is safe for k < 2^31 / 2^14 ≈ 131000 — orders of
-// magnitude above the conv/dense reduction depths here (k ≤ ~600).
+// The quantized operands are stored as integer-valued doubles and
+// multiplied by the float path's own gemm_packed into a zeroed tile.
+// That product is exact: each term is at most 127 * 127 = 16129, so
+// every partial sum is an integer below 2^53 for any k < 2^53 / 16129
+// (~5.6e11; the conv/dense reduction depths here are k <= 144). Each
+// rounded `acc += a*b` step — fused or not — therefore returns the exact
+// integer, and the tile equals the int32 sum of an integer kernel bit
+// for bit, under every S2A_SIMD kernel family and at every thread count.
+// The tile is dequantized in one step, `c[i][j] += scales[i] * x_scale
+// * acc`, on top of the caller's bias-seeded C, mirroring the float
+// GEMM's contract. detail::gemm_int8_scalar keeps the int32 formulation
+// as the oracle the layer tests diff against.
+//
+// A NaN activation stays NaN through quantization (it is not clamped to
+// a finite code), so a non-finite input reaches the int8 outputs exactly
+// where it reaches the float outputs, and the loop's finiteness guards
+// see it.
 //
 // Routing: quant_backend() resolves the process-wide setting; kAuto
 // re-reads S2A_QUANT=1 per call (same pattern as ConvBackend /
@@ -38,58 +46,47 @@ void set_quant_backend(QuantBackend backend);
 /// The resolved backend (never kAuto).
 QuantBackend quant_backend();
 
-/// A row-major int8 matrix with one symmetric scale per row. For a
-/// conv/dense weight this is [out_channels, reduction], so the per-row
-/// scale is the per-output-channel scale.
+/// A row-major matrix of int8 codes (held as integer-valued doubles in
+/// [-127, 127]) with one symmetric scale per row. For a conv/dense
+/// weight this is [out_channels, reduction], so the per-row scale is the
+/// per-output-channel scale.
 struct QuantizedMatrix {
   int rows = 0;
   int cols = 0;
-  std::vector<std::int8_t> data;  // row-major [rows, cols]
-  std::vector<double> scales;     // scales[i] dequantizes row i
+  std::vector<double> data;    // row-major [rows, cols]
+  std::vector<double> scales;  // scales[i] dequantizes row i
 };
 
 /// Quantizes row-major a ([rows, cols], row stride lda) with per-row
 /// symmetric scales. An all-zero row gets scale 1 (quantizes to zeros).
 QuantizedMatrix quantize_rows(const double* a, int lda, int rows, int cols);
 
-/// Per-tensor symmetric scale: max|x| / 127 (1 when the tensor is all
-/// zero). Computed over the WHOLE tensor so any banding/sharding the
-/// caller does cannot change the quantization grid.
+/// Per-tensor symmetric scale: max|x| / 127 (NaN is skipped; 1 when the
+/// tensor is all zero). Computed over the WHOLE tensor so the
+/// quantization grid does not depend on how the caller splits its work.
 double activation_scale(const double* x, std::size_t n);
 
-/// out[i] = clamp(round(x[i] / scale), -127, 127). Round-half-away
-/// (std::lround), deterministic across platforms in practice for the
-/// magnitudes here.
-void quantize_values(const double* x, std::size_t n, double scale,
-                     std::int8_t* out);
+/// In place: x[i] = clamp(round(x[i] / scale), -127, 127), rounding half
+/// away from zero. NaN stays NaN.
+void quantize_values(double* x, std::size_t n, double scale);
 
-/// Carves an int8 buffer out of a double arena (8 int8 per slot,
-/// rounded up). Lifetime follows the arena's reset() like any other
-/// scratch allocation.
-std::int8_t* alloc_int8(util::ScratchArena& arena, std::size_t count);
-
-/// C += diag(a.scales) * (a_q * b_q) * b_scale, with int32 accumulate.
-/// b: row-major int8 [a.cols, n] with row stride ldb; c: row-major
-/// [a.rows, n] with row stride ldc, pre-initialized (bias-seeded).
-/// Dispatches to the AVX2 kernel when the CPU has it and S2A_SIMD is
-/// not forcing scalar; both kernels return identical results.
-void gemm_int8(const QuantizedMatrix& a, int n, const std::int8_t* b, int ldb,
-               double b_scale, double* c, int ldc);
+/// C += diag(a_scales) * (A_q * B_q) * b_scale. A_q: [m, k] codes packed
+/// by pack_a; B_q: row-major [k, n] codes with row stride ldb; C:
+/// row-major [m, n] with row stride ldc, pre-initialized (bias-seeded).
+/// The integer product is taken by gemm_packed into an [m, n] tile from
+/// `arena` (exact — see above), then dequantized onto C.
+void gemm_quantized(int m, int n, int k, const double* a_packed,
+                    const double* a_scales, const double* b, int ldb,
+                    double b_scale, double* c, int ldc,
+                    util::ScratchArena& arena);
 
 namespace detail {
 
-/// Reference int8 GEMM (also the tail path of the AVX2 kernel).
+/// Reference int8 GEMM with int32 accumulation: the oracle
+/// gemm_quantized is diffed against.
 void gemm_int8_scalar(int m, int n, int k, const std::int8_t* a,
                       const double* a_scales, const std::int8_t* b, int ldb,
                       double b_scale, double* c, int ldc);
-
-#if defined(__x86_64__) || defined(_M_X64)
-/// AVX2 int8 GEMM (vpmaddwd over widened int16 pairs). Exactly equal to
-/// the scalar kernel — exposed for the differential tests.
-void gemm_int8_avx2(int m, int n, int k, const std::int8_t* a,
-                    const double* a_scales, const std::int8_t* b, int ldb,
-                    double b_scale, double* c, int ldc);
-#endif
 
 }  // namespace detail
 

@@ -19,8 +19,9 @@
 // steady-state caller reaches one block and zero allocations after the
 // first frame.
 //
-// Thread slots: pool-sharded kernels give each task a private sub-arena
-// via slot(i). ensure_slots(n) must be called before the parallel
+// Thread slots: a batched conv forward spreads its images over the pool
+// and gives each chunk of images a private sub-arena via slot(i) for
+// its column panels. ensure_slots(n) must be called before the parallel
 // section (it is NOT thread-safe); slot(i) afterwards is lock-free and
 // the per-slot arenas are independent, so concurrent tasks never share
 // a bump pointer. See docs/ARCHITECTURE.md "Kernels & memory".

@@ -1,5 +1,10 @@
-// Shared fixed-size thread pool for the library's data-parallel hot
-// paths (voxelization, convolution forwards, federated client updates).
+// Shared fixed-size thread pool for the library's coarse-grained
+// parallelism: fleet members, federated clients, the pipelined sense
+// stage, and the images of a batched conv forward. Nothing shards the
+// work of a single sample — at the grids the system runs (32x32 and
+// 48x48) splitting one convolution or one voxelize over 4 threads
+// measured 0.43–0.94x of serial (docs/ARCHITECTURE.md, "Where threads
+// live").
 //
 // Design goals, in order:
 //  1. Determinism — parallel_for partitions [begin, end) into chunks of
@@ -101,16 +106,6 @@ class ThreadPool {
 /// lazily on first use; size comes from S2A_THREADS, else
 /// hardware_concurrency.
 ThreadPool& global_pool();
-
-/// Parallelism the sharded hot paths can actually convert into speed:
-/// min(global_pool().size(), hardware cores). An S2A_THREADS=4 override
-/// on a 1-core box gives a 4-slot pool but 1 here — BENCH_parallel.json
-/// measured voxelization 7x *slower* sharded in that configuration, so
-/// the hot paths fall back to their serial loops when this is <= 1
-/// (results are bit-exact either way; only the schedule changes).
-/// S2A_FORCE_PARALLEL=1 restores pool.size() regardless of cores, so
-/// tests and TSan runs can drive the sharded paths on any machine.
-std::size_t effective_parallelism();
 
 /// Replaces the global pool with one of the given size (<= 0 restores
 /// the environment/hardware default). Must not race with in-flight

@@ -389,6 +389,33 @@ TEST(Detector, LearnsSingleCarScene) {
   EXPECT_NEAR(best->box.center.y, 4.0, 2.5);
 }
 
+TEST(Quantized, NanInputStaysNonFiniteUnderInt8) {
+  // One NaN voxel must reach the int8 reconstruction wherever it reaches
+  // the float one, so the loop's finiteness guards see the fault in both
+  // paths instead of int8 quantizing NaN to a finite code.
+  Rng rng(93);
+  AutoencoderConfig cfg;
+  cfg.grid.nx = cfg.grid.ny = 32;
+  OccupancyAutoencoder ae(cfg, rng);
+  nn::Tensor grid({1, cfg.grid.nz, 32, 32});
+  for (std::size_t i = 0; i < grid.numel(); i += 5) grid[i] = 1.0;
+  grid[grid.numel() / 2 + 16] = std::nan("");
+
+  const nn::Tensor p_float = ae.reconstruct(grid);
+  ae.quantize();
+  nn::set_quant_backend(nn::QuantBackend::kInt8);
+  const nn::Tensor p_int8 = ae.reconstruct(grid);
+  nn::set_quant_backend(nn::QuantBackend::kAuto);
+
+  std::size_t non_finite = 0;
+  for (std::size_t i = 0; i < p_float.numel(); ++i) {
+    if (std::isfinite(p_float[i])) continue;
+    ++non_finite;
+    EXPECT_FALSE(std::isfinite(p_int8[i])) << "output " << i;
+  }
+  EXPECT_GT(non_finite, 0u);
+}
+
 TEST(Quantized, DetectionApWithinBand) {
   // The int8 detector must keep the distance-matched AP of the float
   // detector within a band on a scene the float model solves. Fixed
@@ -747,12 +774,10 @@ TEST(DistanceAp, PrefersNearestUnmatchedGroundTruth) {
 }  // namespace s2a::lidar
 
 // ------------------------------------------------------------------
-// Parallel-vs-serial equivalence for the sharded hot paths
-// (util::ThreadPool). Voxel occupancy is merged by bitwise OR and every
-// conv/deconv output element is produced by exactly one task in the
-// serial summation order, so all comparisons are bit-exact — no float
-// tolerance is needed at any thread count.
-#include <cstdlib>
+// Thread-count invariance of the per-scan hot paths. Voxelize,
+// reconstruct and detect run one scan serially whatever the global pool
+// size, so all comparisons are bit-exact — no float tolerance is needed
+// at any thread count.
 #include <thread>
 
 #include "util/thread_pool.hpp"
@@ -767,14 +792,6 @@ std::vector<int> equivalence_thread_counts() {
   return counts;
 }
 
-// Forces the sharded paths on even when the host has fewer cores than
-// pool slots — util::effective_parallelism() would otherwise fall back
-// to serial and make these equivalence tests vacuous on small CI boxes.
-struct ScopedForceParallel {
-  ScopedForceParallel() { setenv("S2A_FORCE_PARALLEL", "1", 1); }
-  ~ScopedForceParallel() { unsetenv("S2A_FORCE_PARALLEL"); }
-};
-
 std::size_t count_mismatches(const nn::Tensor& a, const nn::Tensor& b) {
   if (a.numel() != b.numel()) return a.numel() + b.numel();
   std::size_t bad = 0;
@@ -786,7 +803,7 @@ std::size_t count_mismatches(const nn::Tensor& a, const nn::Tensor& b) {
 TEST(ParallelEquivalence, VoxelizeBitExactAcrossThreadCounts) {
   sim::LidarConfig lc;
   lc.azimuth_steps = 720;
-  lc.elevation_steps = 16;  // 11520 returns: above the parallel threshold
+  lc.elevation_steps = 16;  // 11520 returns
   sim::LidarSimulator lidar(lc);
   Rng rng(101);
   const sim::Scene scene = sim::generate_scene(sim::SceneConfig{}, rng);
@@ -799,7 +816,6 @@ TEST(ParallelEquivalence, VoxelizeBitExactAcrossThreadCounts) {
     util::ScopedGlobalThreads threads(1);
     serial = VoxelGrid::from_cloud(pc, gc).to_tensor();
   }
-  ScopedForceParallel force;
   for (int threads : equivalence_thread_counts()) {
     util::ScopedGlobalThreads scoped(threads);
     const nn::Tensor parallel = VoxelGrid::from_cloud(pc, gc).to_tensor();
@@ -809,7 +825,7 @@ TEST(ParallelEquivalence, VoxelizeBitExactAcrossThreadCounts) {
 
 TEST(ParallelEquivalence, AutoencoderReconstructBitExactAcrossThreadCounts) {
   Rng rng(102);
-  AutoencoderConfig cfg;  // default 48x48 grid: conv work above threshold
+  AutoencoderConfig cfg;  // default 48x48 grid
   OccupancyAutoencoder ae(cfg, rng);
   const nn::Tensor in =
       nn::Tensor::randn({1, cfg.grid.nz, cfg.grid.ny, cfg.grid.nx}, rng);
@@ -819,7 +835,6 @@ TEST(ParallelEquivalence, AutoencoderReconstructBitExactAcrossThreadCounts) {
     util::ScopedGlobalThreads threads(1);
     serial = ae.reconstruct(in);
   }
-  ScopedForceParallel force;
   for (int threads : equivalence_thread_counts()) {
     util::ScopedGlobalThreads scoped(threads);
     const nn::Tensor parallel = ae.reconstruct(in);
@@ -845,7 +860,6 @@ TEST(ParallelEquivalence, DetectorOutputIdenticalAcrossThreadCounts) {
     util::ScopedGlobalThreads threads(1);
     serial = det.detect(grid);
   }
-  ScopedForceParallel force;
   for (int threads : equivalence_thread_counts()) {
     util::ScopedGlobalThreads scoped(threads);
     const std::vector<Detection> parallel = det.detect(grid);

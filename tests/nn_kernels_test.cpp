@@ -6,10 +6,13 @@
 // bit-for-bit (EXPECT_EQ on doubles, no tolerance) for every shape,
 // stride, padding, and thread count, because the ParallelEquivalence
 // suites and the S2A_NAIVE_CONV oracle both lean on it.
+#include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <iterator>
 #include <memory>
+#include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -38,14 +41,6 @@ class ScopedBackend {
  public:
   explicit ScopedBackend(ConvBackend b) { set_conv_backend(b); }
   ~ScopedBackend() { set_conv_backend(ConvBackend::kAuto); }
-};
-
-// Forces the sharded paths to engage regardless of core count so the
-// thread-count sweeps actually shard on 1-core machines.
-class ScopedForceParallel {
- public:
-  ScopedForceParallel() { setenv("S2A_FORCE_PARALLEL", "1", 1); }
-  ~ScopedForceParallel() { unsetenv("S2A_FORCE_PARALLEL"); }
 };
 
 // Reference GEMM: the naive triple loop with the same per-element
@@ -191,10 +186,9 @@ TEST(SimdDispatch, EveryKernelHandlesEdgeShapes) {
 }
 
 TEST(SimdDispatch, VectorConvMatchesScalarAcrossThreadCounts) {
-  // The full conv forward (pack + band split + gemm) must produce the
+  // The full conv forward (pack + lowering + gemm) must produce the
   // scalar kernel's bits under every bit-exact family at every thread
   // count — the vector kernels change speed, never the chain.
-  ScopedForceParallel force;
   ScopedBackend backend(ConvBackend::kGemm);
   Rng rng(45);
   Conv2D conv(4, 16, 3, 2, 1, rng);
@@ -252,8 +246,8 @@ TEST(Quant, RowQuantizationRoundTripsWithinOneStep) {
 }
 
 TEST(Quant, ActivationScaleIsBandInvariant) {
-  // The scale is computed over the whole tensor, so any band split the
-  // conv layers apply sees the same quantization grid.
+  // The scale is computed over the whole tensor, so however the work is
+  // split (e.g. the images of a batch) it sees one quantization grid.
   Rng rng(8);
   const auto x = random_vec(333, rng);
   const double whole = activation_scale(x.data(), x.size());
@@ -267,66 +261,49 @@ TEST(Quant, ActivationScaleIsBandInvariant) {
 }
 
 TEST(Quant, Int8GemmMatchesInt32Reference) {
-  // gemm_int8 must equal the naive int32 loop EXACTLY (integer
-  // accumulation has no rounding), including the bias-seeded C start.
+  // gemm_quantized (integer-valued doubles through gemm_packed) must
+  // equal the naive int32 loop EXACTLY — every partial sum is an integer
+  // below 2^53 — including the bias-seeded C start, under every kernel
+  // family (the fused ones included: an exact product-sum has nothing to
+  // round).
   Rng rng(21);
   const GemmShape shapes[] = {
       {1, 1, 1}, {3, 5, 7}, {4, 16, 36}, {16, 24, 144}, {5, 33, 257},
   };
-  for (const auto& s : shapes) {
-    const auto a = random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
-    const QuantizedMatrix qa = quantize_rows(a.data(), s.k, s.m, s.k);
-    const auto xf = random_vec(static_cast<std::size_t>(s.k) * s.n, rng);
-    const double xs = activation_scale(xf.data(), xf.size());
-    std::vector<std::int8_t> xq(xf.size());
-    quantize_values(xf.data(), xf.size(), xs, xq.data());
-    auto c_ref = random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
-    auto c_int8 = c_ref;
-    for (int i = 0; i < s.m; ++i)
-      for (int j = 0; j < s.n; ++j) {
-        std::int32_t acc = 0;
-        for (int kk = 0; kk < s.k; ++kk)
-          acc += static_cast<std::int32_t>(
-                     qa.data[static_cast<std::size_t>(i) * s.k + kk]) *
-                 static_cast<std::int32_t>(
-                     xq[static_cast<std::size_t>(kk) * s.n + j]);
-        c_ref[static_cast<std::size_t>(i) * s.n + j] +=
-            qa.scales[static_cast<std::size_t>(i)] * xs *
-            static_cast<double>(acc);
-      }
-    gemm_int8(qa, s.n, xq.data(), s.n, xs, c_int8.data(), s.n);
-    for (std::size_t i = 0; i < c_ref.size(); ++i)
-      ASSERT_EQ(c_ref[i], c_int8[i])
-          << "m=" << s.m << " n=" << s.n << " k=" << s.k << " at " << i;
+  for (const auto isa : util::supported_simd_isas()) {
+    ScopedSimd scoped(isa);
+    for (const auto& s : shapes) {
+      const auto a = random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
+      const QuantizedMatrix qa = quantize_rows(a.data(), s.k, s.m, s.k);
+      auto xq = random_vec(static_cast<std::size_t>(s.k) * s.n, rng);
+      const double xs = activation_scale(xq.data(), xq.size());
+      quantize_values(xq.data(), xq.size(), xs);
+      auto c_ref = random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
+      auto c_int8 = c_ref;
+      for (int i = 0; i < s.m; ++i)
+        for (int j = 0; j < s.n; ++j) {
+          std::int32_t acc = 0;
+          for (int kk = 0; kk < s.k; ++kk)
+            acc += static_cast<std::int32_t>(
+                       qa.data[static_cast<std::size_t>(i) * s.k + kk]) *
+                   static_cast<std::int32_t>(
+                       xq[static_cast<std::size_t>(kk) * s.n + j]);
+          c_ref[static_cast<std::size_t>(i) * s.n + j] +=
+              qa.scales[static_cast<std::size_t>(i)] * xs *
+              static_cast<double>(acc);
+        }
+      util::ScratchArena arena;
+      double* ap = arena.alloc(packed_a_size(s.m, s.k));
+      pack_a(qa.data.data(), s.k, s.m, s.k, ap);
+      gemm_quantized(s.m, s.n, s.k, ap, qa.scales.data(), xq.data(), s.n, xs,
+                     c_int8.data(), s.n, arena);
+      for (std::size_t i = 0; i < c_ref.size(); ++i)
+        ASSERT_EQ(c_ref[i], c_int8[i])
+            << util::simd_isa_name(isa) << " m=" << s.m << " n=" << s.n
+            << " k=" << s.k << " at " << i;
+    }
   }
 }
-
-#if defined(__x86_64__) || defined(_M_X64)
-TEST(Quant, ScalarAndAvx2Int8KernelsExactlyEqual) {
-  if (!util::cpu_features().avx2) GTEST_SKIP() << "no AVX2 on this CPU";
-  Rng rng(22);
-  const GemmShape shapes[] = {
-      {1, 1, 1}, {2, 7, 3}, {4, 9, 36}, {16, 40, 143}, {7, 65, 256},
-  };
-  for (const auto& s : shapes) {
-    const auto a = random_vec(static_cast<std::size_t>(s.m) * s.k, rng);
-    const QuantizedMatrix qa = quantize_rows(a.data(), s.k, s.m, s.k);
-    const auto xf = random_vec(static_cast<std::size_t>(s.k) * s.n, rng);
-    const double xs = activation_scale(xf.data(), xf.size());
-    std::vector<std::int8_t> xq(xf.size());
-    quantize_values(xf.data(), xf.size(), xs, xq.data());
-    auto c_scalar = random_vec(static_cast<std::size_t>(s.m) * s.n, rng);
-    auto c_avx2 = c_scalar;
-    detail::gemm_int8_scalar(s.m, s.n, s.k, qa.data.data(), qa.scales.data(),
-                             xq.data(), s.n, xs, c_scalar.data(), s.n);
-    detail::gemm_int8_avx2(s.m, s.n, s.k, qa.data.data(), qa.scales.data(),
-                           xq.data(), s.n, xs, c_avx2.data(), s.n);
-    for (std::size_t i = 0; i < c_scalar.size(); ++i)
-      ASSERT_EQ(c_scalar[i], c_avx2[i])
-          << "m=" << s.m << " n=" << s.n << " k=" << s.k << " at " << i;
-  }
-}
-#endif
 
 TEST(Quant, BackendResolvesEnvOverride) {
   set_quant_backend(QuantBackend::kAuto);
@@ -356,53 +333,52 @@ TEST(Im2Col, RoundTripScalesByReadCount) {
     const std::size_t cols =
         static_cast<std::size_t>(im2col_rows(cin, k)) * oh * ow;
     std::vector<double> col(cols), col_ones(cols);
-    im2col(x.data(), cin, h, w, k, stride, pad, ow, 0, oh, col.data());
-    im2col(ones.data(), cin, h, w, k, stride, pad, ow, 0, oh,
-           col_ones.data());
+    im2col(x.data(), cin, h, w, k, stride, pad, col.data());
+    im2col(ones.data(), cin, h, w, k, stride, pad, col_ones.data());
 
     std::vector<double> back(x.size(), 0.0), counts(x.size(), 0.0);
-    col2im(col.data(), cin, h, w, k, stride, pad, ow, 0, oh, back.data());
-    col2im(col_ones.data(), cin, h, w, k, stride, pad, ow, 0, oh,
-           counts.data());
+    col2im(col.data(), cin, h, w, k, stride, pad, back.data());
+    col2im(col_ones.data(), cin, h, w, k, stride, pad, counts.data());
     for (std::size_t i = 0; i < x.size(); ++i)
       ASSERT_EQ(back[i], x[i] * counts[i]) << "stride=" << stride << " i=" << i;
   }
 }
 
-TEST(Im2Col, BandDecompositionMatchesFullLowering) {
-  // Lowering [0, oh) in one shot must equal lowering bands and
-  // concatenating the column slices — the property the pool sharding
-  // relies on.
-  const int cin = 2, h = 11, w = 8, k = 4, stride = 2, pad = 1;
-  const int oh = (h + 2 * pad - k) / stride + 1;
-  const int ow = (w + 2 * pad - k) / stride + 1;
-  Rng rng(78);
-  const auto x = random_vec(static_cast<std::size_t>(cin) * h * w, rng);
-  const int rows = im2col_rows(cin, k);
-
-  std::vector<double> full(static_cast<std::size_t>(rows) * oh * ow);
-  im2col(x.data(), cin, h, w, k, stride, pad, ow, 0, oh, full.data());
-
-  for (int split = 1; split < oh; ++split) {
-    std::vector<double> lo_band(static_cast<std::size_t>(rows) * split * ow);
-    std::vector<double> hi_band(static_cast<std::size_t>(rows) *
-                                (oh - split) * ow);
-    im2col(x.data(), cin, h, w, k, stride, pad, ow, 0, split, lo_band.data());
-    im2col(x.data(), cin, h, w, k, stride, pad, ow, split, oh,
-           hi_band.data());
-    for (int r = 0; r < rows; ++r) {
-      for (int j = 0; j < split * ow; ++j)
-        ASSERT_EQ(full[static_cast<std::size_t>(r) * oh * ow + j],
-                  lo_band[static_cast<std::size_t>(r) * split * ow + j]);
-      for (int j = 0; j < (oh - split) * ow; ++j)
-        ASSERT_EQ(
-            full[static_cast<std::size_t>(r) * oh * ow + split * ow + j],
-            hi_band[static_cast<std::size_t>(r) * (oh - split) * ow + j]);
-    }
-  }
-}
-
 // ---- Conv forward: GEMM path vs. naive oracle ----
+
+struct ConvCase {
+  int cin, cout, k, stride, pad, h, w;
+  int n = 2;
+};
+
+// Shapes shared by the forward, backward and int8 differential suites.
+const ConvCase kConvCases[] = {
+    {1, 1, 1, 1, 0, 5, 5},   {2, 3, 3, 1, 1, 7, 5},
+    {3, 4, 3, 2, 1, 9, 11},  {4, 16, 3, 2, 1, 48, 48},
+    {2, 5, 5, 3, 2, 13, 17}, {1, 2, 4, 2, 1, 10, 6},
+    {6, 4, 3, 1, 0, 9, 9},
+    // Edge shapes for the per-tap valid-span gather: kernel shorter
+    // than the stride, pad >= k, pad = k - 1, 1x1 and 1xN inputs,
+    // stride 3 with k = 5, and batch 3.
+    {3, 4, 1, 2, 0, 7, 9},   {2, 3, 2, 3, 0, 8, 10},
+    {2, 3, 3, 2, 3, 5, 6},   {2, 3, 3, 2, 2, 6, 7},
+    {3, 2, 3, 2, 1, 1, 1},   {2, 3, 3, 2, 1, 1, 9},
+    {2, 3, 5, 3, 1, 11, 13}, {3, 5, 3, 2, 1, 9, 10, 3},
+};
+
+const ConvCase kDeconvCases[] = {
+    {1, 1, 1, 1, 0, 5, 5},  {3, 2, 3, 1, 1, 7, 5},
+    {2, 3, 4, 2, 1, 9, 11}, {32, 16, 4, 2, 1, 12, 12},
+    {2, 2, 5, 3, 2, 6, 7},  {4, 1, 3, 2, 0, 5, 9},
+    // Edge shapes for the sub-pixel phase gather: kernel shorter than
+    // the stride (phases with no tap are pure bias), pad >= k,
+    // pad = k - 1, 1x1 and 1xN inputs, stride 3 with k = 5, and
+    // batch 3.
+    {3, 2, 1, 2, 0, 5, 6},  {2, 3, 2, 3, 0, 4, 5},
+    {2, 3, 3, 2, 3, 6, 7},  {2, 3, 4, 2, 3, 5, 6},
+    {3, 2, 4, 2, 1, 1, 1},  {2, 3, 4, 2, 1, 1, 7},
+    {2, 3, 5, 3, 1, 5, 6},  {4, 3, 4, 2, 1, 6, 5, 3},
+};
 
 std::size_t diff_count(const Tensor& a, const Tensor& b) {
   if (a.numel() != b.numel()) return a.numel() + b.numel();
@@ -414,24 +390,7 @@ std::size_t diff_count(const Tensor& a, const Tensor& b) {
 
 TEST(ConvBackendEquivalence, Conv2DBitExactAcrossShapes) {
   Rng rng(42);
-  struct Case {
-    int cin, cout, k, stride, pad, h, w;
-    int n = 2;
-  };
-  const Case cases[] = {
-      {1, 1, 1, 1, 0, 5, 5},   {2, 3, 3, 1, 1, 7, 5},
-      {3, 4, 3, 2, 1, 9, 11},  {4, 16, 3, 2, 1, 48, 48},
-      {2, 5, 5, 3, 2, 13, 17}, {1, 2, 4, 2, 1, 10, 6},
-      {6, 4, 3, 1, 0, 9, 9},
-      // Edge shapes for the per-tap valid-span gather: kernel shorter
-      // than the stride, pad >= k, pad = k - 1, 1x1 and 1xN inputs,
-      // stride 3 with k = 5, and batch 3.
-      {3, 4, 1, 2, 0, 7, 9},   {2, 3, 2, 3, 0, 8, 10},
-      {2, 3, 3, 2, 3, 5, 6},   {2, 3, 3, 2, 2, 6, 7},
-      {3, 2, 3, 2, 1, 1, 1},   {2, 3, 3, 2, 1, 1, 9},
-      {2, 3, 5, 3, 1, 11, 13}, {3, 5, 3, 2, 1, 9, 10, 3},
-  };
-  for (const auto& c : cases) {
+  for (const auto& c : kConvCases) {
     Conv2D conv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
     const Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
     Tensor naive, fast;
@@ -452,24 +411,7 @@ TEST(ConvBackendEquivalence, Conv2DBitExactAcrossShapes) {
 
 TEST(ConvBackendEquivalence, ConvTranspose2DBitExactAcrossShapes) {
   Rng rng(43);
-  struct Case {
-    int cin, cout, k, stride, pad, h, w;
-    int n = 2;
-  };
-  const Case cases[] = {
-      {1, 1, 1, 1, 0, 5, 5},  {3, 2, 3, 1, 1, 7, 5},
-      {2, 3, 4, 2, 1, 9, 11}, {32, 16, 4, 2, 1, 12, 12},
-      {2, 2, 5, 3, 2, 6, 7},  {4, 1, 3, 2, 0, 5, 9},
-      // Edge shapes for the sub-pixel phase gather: kernel shorter than
-      // the stride (phases with no tap are pure bias), pad >= k,
-      // pad = k - 1, 1x1 and 1xN inputs, stride 3 with k = 5, and
-      // batch 3.
-      {3, 2, 1, 2, 0, 5, 6},  {2, 3, 2, 3, 0, 4, 5},
-      {2, 3, 3, 2, 3, 6, 7},  {2, 3, 4, 2, 3, 5, 6},
-      {3, 2, 4, 2, 1, 1, 1},  {2, 3, 4, 2, 1, 1, 7},
-      {2, 3, 5, 3, 1, 5, 6},  {4, 3, 4, 2, 1, 6, 5, 3},
-  };
-  for (const auto& c : cases) {
+  for (const auto& c : kDeconvCases) {
     ConvTranspose2D deconv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
     const Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
     Tensor naive, fast;
@@ -497,16 +439,15 @@ TEST(ConvBackendEquivalence, EnvVarSelectsNaiveOracle) {
 }
 
 TEST(ConvBackendEquivalence, GemmPathBitExactAcrossThreadCounts) {
-  // The band split changes with the thread count; the per-element
-  // accumulation chain must not. Forced-parallel so this shards even on
-  // a 1-core box (and genuinely exercises arena slots under TSan).
-  ScopedForceParallel force;
+  // A two-image batch spreads its images over the pool (one arena slot
+  // per chunk, exercised under TSan); the per-element accumulation chain
+  // must not depend on the thread count.
   ScopedBackend backend(ConvBackend::kGemm);
   Rng rng(44);
   Conv2D conv(4, 16, 3, 2, 1, rng);
   ConvTranspose2D deconv(16, 4, 4, 2, 1, rng);
-  const Tensor x = Tensor::randn({1, 4, 48, 48}, rng);
-  const Tensor z = Tensor::randn({1, 16, 24, 24}, rng);
+  const Tensor x = Tensor::randn({2, 4, 48, 48}, rng);
+  const Tensor z = Tensor::randn({2, 16, 24, 24}, rng);
 
   Tensor conv_serial, deconv_serial;
   {
@@ -619,55 +560,14 @@ TEST(Im2Col, TransposedGatherMatchesIm2Col) {
     const auto x = random_vec(static_cast<std::size_t>(c.cin) * c.h * c.w, rng);
 
     std::vector<double> col(static_cast<std::size_t>(kdim) * oh * ow);
-    im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0, oh,
-           col.data());
+    im2col(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, col.data());
     std::vector<double> colt(static_cast<std::size_t>(oh) * ow * kdim);
-    im2col_t(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, 0, oh,
-             colt.data());
+    im2col_t(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, colt.data());
     for (int p = 0; p < oh * ow; ++p)
       for (int r = 0; r < kdim; ++r)
         ASSERT_EQ(colt[static_cast<std::size_t>(p) * kdim + r],
                   col[static_cast<std::size_t>(r) * oh * ow + p])
             << "p=" << p << " r=" << r;
-
-    // Band decomposition: rows [lo, hi) written at the band's base
-    // pointer must equal the same rows of the full lowering.
-    for (int split = 1; split < oh; ++split) {
-      std::vector<double> band(static_cast<std::size_t>(oh - split) * ow *
-                               kdim);
-      im2col_t(x.data(), c.cin, c.h, c.w, c.k, c.stride, c.pad, ow, split, oh,
-               band.data());
-      for (std::size_t i = 0; i < band.size(); ++i)
-        ASSERT_EQ(band[i],
-                  colt[static_cast<std::size_t>(split) * ow * kdim + i]);
-    }
-  }
-}
-
-TEST(Im2Col, Col2ImBandDecompositionMatchesFullScatter) {
-  // col2im_band restricted to input rows [iy_lo, iy_hi) must reproduce
-  // the full col2im bitwise on those rows: each destination element's
-  // terms arrive in the same (ic,ky,kx; oy asc) order, the band bounds
-  // only skip terms that land outside the band.
-  const int cin = 2, h = 11, w = 8, k = 4, stride = 2, pad = 1;
-  const int oh = (h + 2 * pad - k) / stride + 1;
-  const int ow = (w + 2 * pad - k) / stride + 1;
-  const int kdim = im2col_rows(cin, k);
-  Rng rng(80);
-  const auto col =
-      random_vec(static_cast<std::size_t>(kdim) * oh * ow, rng);
-
-  std::vector<double> full(static_cast<std::size_t>(cin) * h * w, 0.0);
-  col2im(col.data(), cin, h, w, k, stride, pad, ow, 0, oh, full.data());
-
-  for (int split = 1; split < h; ++split) {
-    std::vector<double> banded(full.size(), 0.0);
-    col2im_band(col.data(), cin, h, w, k, stride, pad, ow, 0, split,
-                banded.data());
-    col2im_band(col.data(), cin, h, w, k, stride, pad, ow, split, h,
-                banded.data());
-    for (std::size_t i = 0; i < full.size(); ++i)
-      ASSERT_EQ(banded[i], full[i]) << "split=" << split << " i=" << i;
   }
 }
 
@@ -693,24 +593,7 @@ BackwardResult run_backward(Layer& layer, const Tensor& x,
 
 TEST(ConvBackendEquivalence, Conv2DBackwardBitExactAcrossShapes) {
   Rng rng(45);
-  struct Case {
-    int cin, cout, k, stride, pad, h, w;
-    int n = 2;
-  };
-  const Case cases[] = {
-      {1, 1, 1, 1, 0, 5, 5},   {2, 3, 3, 1, 1, 7, 5},
-      {3, 4, 3, 2, 1, 9, 11},  {4, 16, 3, 2, 1, 48, 48},
-      {2, 5, 5, 3, 2, 13, 17}, {1, 2, 4, 2, 1, 10, 6},
-      {6, 4, 3, 1, 0, 9, 9},
-      // Edge shapes for the per-tap valid-span gather: kernel shorter
-      // than the stride, pad >= k, pad = k - 1, 1x1 and 1xN inputs,
-      // stride 3 with k = 5, and batch 3.
-      {3, 4, 1, 2, 0, 7, 9},   {2, 3, 2, 3, 0, 8, 10},
-      {2, 3, 3, 2, 3, 5, 6},   {2, 3, 3, 2, 2, 6, 7},
-      {3, 2, 3, 2, 1, 1, 1},   {2, 3, 3, 2, 1, 1, 9},
-      {2, 3, 5, 3, 1, 11, 13}, {3, 5, 3, 2, 1, 9, 10, 3},
-  };
-  for (const auto& c : cases) {
+  for (const auto& c : kConvCases) {
     Conv2D conv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
     const Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
     const Tensor g = Tensor::randn(
@@ -731,24 +614,7 @@ TEST(ConvBackendEquivalence, Conv2DBackwardBitExactAcrossShapes) {
 
 TEST(ConvBackendEquivalence, ConvTranspose2DBackwardBitExactAcrossShapes) {
   Rng rng(46);
-  struct Case {
-    int cin, cout, k, stride, pad, h, w;
-    int n = 2;
-  };
-  const Case cases[] = {
-      {1, 1, 1, 1, 0, 5, 5},  {3, 2, 3, 1, 1, 7, 5},
-      {2, 3, 4, 2, 1, 9, 11}, {32, 16, 4, 2, 1, 12, 12},
-      {2, 2, 5, 3, 2, 6, 7},  {4, 1, 3, 2, 0, 5, 9},
-      // Edge shapes for the sub-pixel phase gather: kernel shorter than
-      // the stride (phases with no tap are pure bias), pad >= k,
-      // pad = k - 1, 1x1 and 1xN inputs, stride 3 with k = 5, and
-      // batch 3.
-      {3, 2, 1, 2, 0, 5, 6},  {2, 3, 2, 3, 0, 4, 5},
-      {2, 3, 3, 2, 3, 6, 7},  {2, 3, 4, 2, 3, 5, 6},
-      {3, 2, 4, 2, 1, 1, 1},  {2, 3, 4, 2, 1, 1, 7},
-      {2, 3, 5, 3, 1, 5, 6},  {4, 3, 4, 2, 1, 6, 5, 3},
-  };
-  for (const auto& c : cases) {
+  for (const auto& c : kDeconvCases) {
     ConvTranspose2D deconv(c.cin, c.cout, c.k, c.stride, c.pad, rng);
     const Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
     const Tensor g = Tensor::randn(
@@ -801,11 +667,8 @@ TEST(ConvBackendEquivalence, DenseBitExactBothDirections) {
 }
 
 TEST(ConvBackendEquivalence, BackwardBitExactAcrossThreadCounts) {
-  // Sharding stripes gw over columns and dx over bands — never over a
-  // reduction axis — so every gradient element's complete chain runs in
-  // one task and the bits cannot depend on the thread count. The naive
-  // oracle (always serial) anchors the comparison at each count.
-  ScopedForceParallel force;
+  // The backward passes are serial loops, so the bits cannot depend on
+  // the pool size. The naive oracle anchors the comparison at each count.
   Rng rng(48);
   Conv2D conv(4, 16, 3, 2, 1, rng);
   ConvTranspose2D deconv(16, 4, 4, 2, 1, rng);
@@ -831,6 +694,223 @@ TEST(ConvBackendEquivalence, BackwardBitExactAcrossThreadCounts) {
     EXPECT_EQ(diff_count(deconv_oracle.gw, d.gw), 0u) << threads << " threads";
     EXPECT_EQ(diff_count(deconv_oracle.gb, d.gb), 0u) << threads << " threads";
   }
+}
+
+// ---- Int8 forward: double-GEMM path vs. the int32 oracle ----
+//
+// Each oracle recomputes a quantized layer's forward from its float
+// weights with detail::gemm_int8_scalar: the same per-row weight codes
+// and one activation scale over the whole input, multiplied in int32
+// onto the bias. The layers run those codes through gemm_packed as
+// integer-valued doubles, which is exact, so the match is EXPECT_EQ.
+
+std::vector<std::int8_t> to_int8(const std::vector<double>& codes) {
+  return {codes.begin(), codes.end()};
+}
+
+// Activation codes of the whole tensor, and the scale they were cut at.
+std::vector<double> quantized_input(const Tensor& x, double& xs) {
+  std::vector<double> q(x.data(), x.data() + x.numel());
+  xs = activation_scale(q.data(), q.size());
+  quantize_values(q.data(), q.size(), xs);
+  return q;
+}
+
+Tensor conv_int8_oracle(Conv2D& conv, const Tensor& x, const ConvCase& c) {
+  const Tensor& w = *conv.params()[0];
+  const Tensor& bias = *conv.params()[1];
+  const int kdim = im2col_rows(c.cin, c.k);
+  const int oh = conv.out_size(c.h), ow = conv.out_size(c.w);
+  const int out_hw = oh * ow;
+  const QuantizedMatrix qw = quantize_rows(w.data(), kdim, c.cout, kdim);
+  const std::vector<std::int8_t> wq = to_int8(qw.data);
+  double xs = 0.0;
+  const std::vector<double> xq = quantized_input(x, xs);
+  Tensor y({c.n, c.cout, oh, ow});
+  std::vector<double> col(static_cast<std::size_t>(kdim) * out_hw);
+  for (int b = 0; b < c.n; ++b) {
+    im2col(xq.data() + static_cast<std::size_t>(b) * c.cin * c.h * c.w,
+           c.cin, c.h, c.w, c.k, c.stride, c.pad, col.data());
+    double* yb = y.data() + static_cast<std::size_t>(b) * c.cout * out_hw;
+    for (int oc = 0; oc < c.cout; ++oc)
+      std::fill_n(yb + static_cast<std::size_t>(oc) * out_hw, out_hw,
+                  bias[static_cast<std::size_t>(oc)]);
+    detail::gemm_int8_scalar(c.cout, out_hw, kdim, wq.data(),
+                             qw.scales.data(), to_int8(col).data(), out_hw, xs,
+                             yb, out_hw);
+  }
+  return y;
+}
+
+// The deconv quantizes one weight matrix per sub-pixel phase (py, px):
+// rows are output channels, columns the (ic, ky, kx) taps with
+// ky % s == py and kx % s == px, so each phase has its own row scales.
+// Output pixel (oy, ox) belongs to phase ((oy + pad) % s, (ox + pad) % s)
+// and reads input (iy, ix) = ((oy + pad - ky) / s, (ox + pad - kx) / s).
+Tensor deconv_int8_oracle(ConvTranspose2D& deconv, const Tensor& x,
+                          const ConvCase& c) {
+  const Tensor& w = *deconv.params()[0];  // [cin, cout, k, k]
+  const Tensor& bias = *deconv.params()[1];
+  const int s = c.stride;
+  const int oh = deconv.out_size(c.h), ow = deconv.out_size(c.w);
+  double xs = 0.0;
+  const std::vector<double> xq = quantized_input(x, xs);
+  Tensor y({c.n, c.cout, oh, ow});
+  for (int py = 0; py < s; ++py)
+    for (int px = 0; px < s; ++px) {
+      std::vector<std::array<int, 3>> taps;  // (ic, ky, kx)
+      for (int ic = 0; ic < c.cin; ++ic)
+        for (int ky = py; ky < c.k; ky += s)
+          for (int kx = px; kx < c.k; kx += s) taps.push_back({ic, ky, kx});
+      const int kdim = static_cast<int>(taps.size());
+      std::vector<double> wph(static_cast<std::size_t>(c.cout) * kdim);
+      for (int oc = 0; oc < c.cout; ++oc)
+        for (int t = 0; t < kdim; ++t)
+          wph[static_cast<std::size_t>(oc) * kdim + t] =
+              w[((static_cast<std::size_t>(taps[t][0]) * c.cout + oc) * c.k +
+                 taps[t][1]) * c.k + taps[t][2]];
+      const QuantizedMatrix qw = quantize_rows(wph.data(), kdim, c.cout, kdim);
+      const std::vector<std::int8_t> wq = to_int8(qw.data);
+
+      std::vector<std::array<int, 3>> pixels;  // (b, oy, ox)
+      for (int b = 0; b < c.n; ++b)
+        for (int oy = 0; oy < oh; ++oy)
+          for (int ox = 0; ox < ow; ++ox)
+            if ((oy + c.pad) % s == py && (ox + c.pad) % s == px)
+              pixels.push_back({b, oy, ox});
+      const int np = static_cast<int>(pixels.size());
+      if (np == 0) continue;
+      std::vector<std::int8_t> cols(static_cast<std::size_t>(kdim) * np, 0);
+      for (int t = 0; t < kdim; ++t)
+        for (int j = 0; j < np; ++j) {
+          const auto [b, oy, ox] = pixels[static_cast<std::size_t>(j)];
+          const int ny = oy + c.pad - taps[t][1];
+          const int nx = ox + c.pad - taps[t][2];
+          if (ny < 0 || nx < 0 || ny / s >= c.h || nx / s >= c.w) continue;
+          cols[static_cast<std::size_t>(t) * np + j] = static_cast<std::int8_t>(
+              xq[((static_cast<std::size_t>(b) * c.cin + taps[t][0]) * c.h +
+                  ny / s) * c.w + nx / s]);
+        }
+      std::vector<double> out(static_cast<std::size_t>(c.cout) * np);
+      for (int oc = 0; oc < c.cout; ++oc)
+        std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(oc) * np, np,
+                    bias[static_cast<std::size_t>(oc)]);
+      detail::gemm_int8_scalar(c.cout, np, kdim, wq.data(), qw.scales.data(),
+                               cols.data(), np, xs, out.data(), np);
+      for (int oc = 0; oc < c.cout; ++oc)
+        for (int j = 0; j < np; ++j) {
+          const auto [b, oy, ox] = pixels[static_cast<std::size_t>(j)];
+          y[((static_cast<std::size_t>(b) * c.cout + oc) * oh + oy) * ow + ox] =
+              out[static_cast<std::size_t>(oc) * np + j];
+        }
+    }
+  return y;
+}
+
+Tensor dense_int8_oracle(Dense& dense, const Tensor& x) {
+  const Tensor& w = *dense.params()[0];  // [out, in]
+  const Tensor& bias = *dense.params()[1];
+  const int n = x.dim(0), in = dense.in_features(), out = dense.out_features();
+  const QuantizedMatrix qw = quantize_rows(w.data(), in, out, in);
+  double xs = 0.0;
+  const std::vector<double> xq = quantized_input(x, xs);
+  std::vector<std::int8_t> xt(static_cast<std::size_t>(in) * n);
+  for (int i = 0; i < n; ++i)
+    for (int p = 0; p < in; ++p)
+      xt[static_cast<std::size_t>(p) * n + i] = static_cast<std::int8_t>(
+          xq[static_cast<std::size_t>(i) * in + p]);
+  std::vector<double> yt(static_cast<std::size_t>(out) * n, 0.0);
+  detail::gemm_int8_scalar(out, n, in, to_int8(qw.data).data(),
+                           qw.scales.data(), xt.data(), n, xs, yt.data(), n);
+  Tensor y({n, out});
+  for (int i = 0; i < n; ++i)
+    for (int j = 0; j < out; ++j)
+      y[static_cast<std::size_t>(i) * out + j] =
+          yt[static_cast<std::size_t>(j) * n + i] +
+          bias[static_cast<std::size_t>(j)];
+  return y;
+}
+
+TEST(QuantLayers, Int8ForwardMatchesInt32OracleAcrossKernelsAndThreads) {
+  Rng rng(49);
+  struct Subject {
+    std::string name;
+    std::unique_ptr<Layer> layer;
+    Tensor x, oracle;
+  };
+  std::vector<Subject> subjects;
+  const auto seed_bias = [&rng](Layer& layer) {
+    Tensor& bias = *layer.params()[1];
+    for (std::size_t i = 0; i < bias.numel(); ++i)
+      bias[i] = rng.normal(0.0, 0.1);
+    layer.quantize();
+  };
+  const auto describe = [](const char* kind, const ConvCase& c) {
+    std::ostringstream os;
+    os << kind << " cin=" << c.cin << " cout=" << c.cout << " k=" << c.k
+       << " stride=" << c.stride << " pad=" << c.pad << " h=" << c.h
+       << " w=" << c.w << " n=" << c.n;
+    return os.str();
+  };
+
+  // The paper tick's 32x32x4 layers (reconstruct encoder = detector
+  // backbone, both decoder deconvs, the detector heads), then every
+  // edge shape of the backend-equivalence tables.
+  std::vector<ConvCase> convs = {{4, 16, 3, 2, 1, 32, 32, 1},
+                                 {16, 32, 3, 2, 1, 16, 16, 1},
+                                 {16, 3, 1, 1, 0, 16, 16, 1},
+                                 {16, 2, 1, 1, 0, 16, 16, 1}};
+  convs.insert(convs.end(), std::begin(kConvCases), std::end(kConvCases));
+  std::vector<ConvCase> deconvs = {{32, 16, 4, 2, 1, 8, 8, 1},
+                                   {16, 4, 4, 2, 1, 16, 16, 1}};
+  deconvs.insert(deconvs.end(), std::begin(kDeconvCases),
+                 std::end(kDeconvCases));
+  for (const auto& c : convs) {
+    auto conv = std::make_unique<Conv2D>(c.cin, c.cout, c.k, c.stride, c.pad,
+                                         rng);
+    seed_bias(*conv);
+    Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
+    Tensor oracle = conv_int8_oracle(*conv, x, c);
+    subjects.push_back({describe("conv", c), std::move(conv), std::move(x),
+                        std::move(oracle)});
+  }
+  for (const auto& c : deconvs) {
+    auto deconv = std::make_unique<ConvTranspose2D>(c.cin, c.cout, c.k,
+                                                    c.stride, c.pad, rng);
+    seed_bias(*deconv);
+    Tensor x = Tensor::randn({c.n, c.cin, c.h, c.w}, rng);
+    Tensor oracle = deconv_int8_oracle(*deconv, x, c);
+    subjects.push_back({describe("deconv", c), std::move(deconv),
+                        std::move(x), std::move(oracle)});
+  }
+  for (const auto& [in, out, n] : {std::array<int, 3>{1, 1, 1},
+                                   {3, 4, 2}, {17, 9, 5}, {64, 48, 16},
+                                   {5, 130, 3}}) {
+    auto dense = std::make_unique<Dense>(in, out, rng);
+    seed_bias(*dense);
+    Tensor x = Tensor::randn({n, in}, rng);
+    Tensor oracle = dense_int8_oracle(*dense, x);
+    subjects.push_back({"dense in=" + std::to_string(in) + " out=" +
+                            std::to_string(out) + " n=" + std::to_string(n),
+                        std::move(dense), std::move(x), std::move(oracle)});
+  }
+
+  set_quant_backend(QuantBackend::kInt8);
+  std::vector<util::SimdIsa> isas = {util::SimdIsa::kAuto};
+  const auto supported = util::supported_simd_isas();
+  isas.insert(isas.end(), supported.begin(), supported.end());
+  for (const auto isa : isas) {
+    ScopedSimd scoped(isa);
+    for (int threads : {1, 4}) {
+      util::ScopedGlobalThreads scoped_threads(threads);
+      for (auto& subject : subjects)
+        EXPECT_EQ(diff_count(subject.oracle, subject.layer->forward(subject.x)),
+                  0u)
+            << subject.name << " under " << util::simd_isa_name(isa) << ", "
+            << threads << " threads";
+    }
+  }
+  set_quant_backend(QuantBackend::kAuto);
 }
 
 // ---- Backward: finite-difference gradient checks ----
@@ -990,9 +1070,8 @@ TEST(ScratchArena, TrainingStepsStopGrowingAfterWarmup) {
   // forward+backward steps (the second lets reset() coalesce multi-block
   // chains into one backing block, which itself counts as a growth),
   // further steps must perform zero arena growth and leave capacity
-  // untouched. Forced-parallel at a fixed thread count so the slot
-  // sub-arenas are exercised too.
-  ScopedForceParallel force;
+  // untouched. Two-image batches at a fixed thread count, so the slot
+  // sub-arenas of the batched forward are exercised too.
   util::ScopedGlobalThreads threads(4);
   ScopedBackend backend(ConvBackend::kGemm);
   Rng rng(93);
@@ -1000,8 +1079,8 @@ TEST(ScratchArena, TrainingStepsStopGrowingAfterWarmup) {
   ConvTranspose2D deconv(8, 3, 4, 2, 1, rng);
   Dense dense(32, 16, rng);
 
-  const Tensor xc = Tensor::randn({1, 3, 16, 16}, rng);
-  const Tensor xd = Tensor::randn({1, 8, 8, 8}, rng);
+  const Tensor xc = Tensor::randn({2, 3, 16, 16}, rng);
+  const Tensor xd = Tensor::randn({2, 8, 8, 8}, rng);
   const Tensor xf = Tensor::randn({4, 32}, rng);
   const auto step = [&] {
     for (Layer* l : {static_cast<Layer*>(&conv), static_cast<Layer*>(&deconv),
